@@ -5,8 +5,10 @@
 //! requests are **all-grouped** (broadcast) to every matching instance —
 //! the one-to-many partitioning the paper is about. Each matching
 //! instance joins a request against its locally stored driver locations
-//! and emits its best local candidate; an aggregation operator picks the
-//! overall closest driver per order.
+//! and emits its best local candidate — or an explicit no-candidate
+//! result when it holds no driver yet, so every instance answers every
+//! request whatever order the two streams interleave in. An aggregation
+//! operator picks the overall closest driver per order.
 
 use std::collections::HashMap;
 use whale_dsps::{
@@ -28,6 +30,10 @@ pub fn event_schema() -> Schema {
 pub fn candidate_schema() -> Schema {
     Schema::new(vec!["order_id", "driver_id", "distance"])
 }
+
+/// The `driver_id` of a no-candidate result (its distance is +∞, so any
+/// real candidate beats it at aggregation).
+pub const NO_DRIVER: i64 = -1;
 
 /// Build the ride-hailing topology:
 /// `locations --Fields(key)--> matching <--All-- requests`,
@@ -133,7 +139,8 @@ impl Spout for RequestSpout {
 }
 
 /// The matching bolt: stores driver locations, joins requests against
-/// them, and emits the best local candidate per request.
+/// them, and emits exactly one candidate per request — the best local
+/// driver, or `(order, NO_DRIVER, +∞)` when it holds none.
 #[derive(Default)]
 pub struct MatchingBolt {
     drivers: HashMap<i64, (f64, f64)>,
@@ -160,17 +167,16 @@ impl Bolt for MatchingBolt {
             TAG_REQUEST => {
                 self.requests_handled += 1;
                 // Best locally-known driver for this request.
-                let best = self
+                let (driver, d2) = self
                     .drivers
                     .iter()
                     .map(|(&d, &(dlat, dlng))| (d, dist2(lat, lng, dlat, dlng)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-                if let Some((driver, d2)) = best {
-                    out.emit(Tuple::with_id(
-                        input.id,
-                        vec![Value::I64(key), Value::I64(driver), Value::F64(d2)],
-                    ));
-                }
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                    .unwrap_or((NO_DRIVER, f64::INFINITY));
+                out.emit(Tuple::with_id(
+                    input.id,
+                    vec![Value::I64(key), Value::I64(driver), Value::F64(d2)],
+                ));
             }
             other => panic!("unknown event tag {other}"),
         }
@@ -178,7 +184,8 @@ impl Bolt for MatchingBolt {
 }
 
 /// The aggregation bolt: keeps the closest candidate per order and emits
-/// final assignments on stream end.
+/// final assignments on stream end (`NO_DRIVER` for an order no matching
+/// instance could serve).
 #[derive(Default)]
 pub struct AggregationBolt {
     best: HashMap<i64, (i64, f64)>,
@@ -298,11 +305,32 @@ mod tests {
     }
 
     #[test]
-    fn matching_with_no_drivers_emits_nothing() {
+    fn matching_with_no_drivers_emits_an_explicit_no_candidate() {
         let mut m = MatchingBolt::new();
         let mut out = VecEmitter::default();
         m.execute(&req(1, 39.9, 116.3), &mut out);
-        assert!(out.emitted.is_empty());
+        assert_eq!(out.emitted.len(), 1);
+        let cand = &out.emitted[0];
+        assert_eq!(cand.get(0).unwrap().as_i64(), Some(1));
+        assert_eq!(cand.get(1).unwrap().as_i64(), Some(NO_DRIVER));
+        assert_eq!(cand.get(2).unwrap().as_f64(), Some(f64::INFINITY));
+    }
+
+    #[test]
+    fn aggregation_prefers_any_real_candidate_over_no_candidate() {
+        let mut a = AggregationBolt::new();
+        let mut out = VecEmitter::default();
+        let cand = |order: i64, driver: i64, d: f64| {
+            Tuple::new(vec![Value::I64(order), Value::I64(driver), Value::F64(d)])
+        };
+        a.execute(&cand(1, NO_DRIVER, f64::INFINITY), &mut out);
+        a.execute(&cand(1, 10, 0.5), &mut out);
+        a.execute(&cand(1, NO_DRIVER, f64::INFINITY), &mut out);
+        a.execute(&cand(2, NO_DRIVER, f64::INFINITY), &mut out);
+        a.finish(&mut out);
+        assert_eq!(out.emitted.len(), 2);
+        assert_eq!(out.emitted[0].get(1).unwrap().as_i64(), Some(10));
+        assert_eq!(out.emitted[1].get(1).unwrap().as_i64(), Some(NO_DRIVER));
     }
 
     #[test]
@@ -369,9 +397,10 @@ mod tests {
         // matching executes 200 locations (key-grouped once each) +
         // 50 requests × 8 instances.
         assert_eq!(report.executed[2], 200 + 50 * 8);
-        // Each request produces one candidate per instance (drivers are
-        // spread over instances, every instance holds some by then —
-        // statistically certain with 200 locations over 8 instances).
+        // Each request produces exactly one candidate per instance — a
+        // real one, or an explicit no-candidate when the request beat
+        // every location to that instance — so the count is exact however
+        // the two spouts interleave.
         assert_eq!(report.executed[3], 50 * 8);
     }
 }

@@ -34,7 +34,7 @@ pub use codec::{
     WorkerMessageView,
 };
 pub use grouping::{hash_value, hash_value_view, GroupingExec, RouteError};
-pub use messaging::{plan, CommMode, Envelope, MessagePlan};
+pub use messaging::{plan, CommMode, EdgeRouter, Envelope, MessagePlan, RoutePlan};
 pub use operator::{
     Bolt, BoltFactory, Emitter, FnBolt, IterSpout, LazyFnBolt, Spout, SpoutFactory, VecEmitter,
 };

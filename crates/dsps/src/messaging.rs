@@ -12,9 +12,18 @@
 //! The plan also separates local deliveries (same worker as the source —
 //! no network) from remote ones, and carries the byte/serialization
 //! accounting behind Figs 25–28.
+//!
+//! [`plan`] builds a fresh [`MessagePlan`] per call, which suits the
+//! models. The live runtime sends through [`EdgeRouter`] instead: the
+//! same frames, split per destination pipeline, from a [`RoutePlan`]
+//! that is computed once for all-grouped edges and refilled in place
+//! for keyed and shuffled ones.
 
+use crate::grouping::{GroupingExec, RouteError};
 use crate::scheduler::{Placement, WorkerId};
 use crate::task::TaskId;
+use crate::topology::Grouping;
+use crate::tuple::Tuple;
 use std::collections::BTreeMap;
 use whale_sim::{CostModel, SimDuration};
 
@@ -146,6 +155,186 @@ impl MessagePlan {
     /// Total destination tasks covered (remote + local).
     pub fn fanout(&self) -> usize {
         self.remote.iter().map(|e| e.dst_tasks.len()).sum::<usize>() + self.local_tasks.len()
+    }
+}
+
+/// One wire frame of a [`RoutePlan`]: a slice of the plan's remote tasks,
+/// all read by one pipeline `shard` of one remote `worker`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct PlannedFrame {
+    worker: WorkerId,
+    shard: u32,
+    start: u32,
+    end: u32,
+}
+
+/// Where one tuple goes, in the shape the live runtime sends it: the
+/// tasks on the source's own worker, and one wire frame per destination
+/// pipeline. A worker's tasks are split across its pipelines by the
+/// stable map `task % shards`. Worker-oriented frames address every
+/// task one pipeline owns; instance-oriented frames address one task
+/// each. Frames come in ascending worker order (then shard, for
+/// worker-oriented frames), with tasks in routed order within a frame
+/// — exactly what [`plan`] yields once each envelope is split by shard.
+///
+/// [`RoutePlan::fill`] reuses the plan's buffers, so refilling a plan
+/// for a single destination allocates nothing once it has been used.
+#[derive(Clone, Default, Debug)]
+pub struct RoutePlan {
+    local: Vec<TaskId>,
+    remote: Vec<TaskId>,
+    frames: Vec<PlannedFrame>,
+    serializations: u32,
+}
+
+impl RoutePlan {
+    /// Plan the sends of one tuple from `src` to the routed `dsts`.
+    pub fn fill(
+        &mut self,
+        mode: CommMode,
+        src: TaskId,
+        dsts: &[TaskId],
+        placement: &Placement,
+        shards: u32,
+    ) {
+        let shards = shards.max(1);
+        let src_worker = placement.worker_of(src);
+        self.local.clear();
+        self.remote.clear();
+        self.frames.clear();
+        for &t in dsts {
+            if placement.worker_of(t) == src_worker {
+                self.local.push(t);
+            } else {
+                self.remote.push(t);
+            }
+        }
+        // Instance-oriented sends serialize once per destination, local
+        // ones included; worker-oriented sends serialize once.
+        self.serializations = match mode {
+            CommMode::InstanceOriented => dsts.len() as u32,
+            CommMode::WorkerOriented => 1,
+        };
+        // The sort is stable, so tasks keep their routed order within a
+        // frame (and a one-task plan never reaches the allocating path).
+        let key = |t: TaskId| (placement.worker_of(t), t.0 % shards);
+        match mode {
+            CommMode::InstanceOriented => self.remote.sort_by_key(|&t| placement.worker_of(t)),
+            CommMode::WorkerOriented => self.remote.sort_by_key(|&t| key(t)),
+        }
+        let mut start = 0;
+        for (i, &t) in self.remote.iter().enumerate() {
+            let last_of_frame = mode == CommMode::InstanceOriented
+                || self
+                    .remote
+                    .get(i + 1)
+                    .is_none_or(|&next| key(next) != key(t));
+            if last_of_frame {
+                let (worker, shard) = key(t);
+                self.frames.push(PlannedFrame {
+                    worker,
+                    shard,
+                    start,
+                    end: i as u32 + 1,
+                });
+                start = i as u32 + 1;
+            }
+        }
+    }
+
+    /// Destination tasks on the source's own worker (no fabric hop).
+    pub fn local(&self) -> &[TaskId] {
+        &self.local
+    }
+
+    /// Destination tasks on other workers, frame by frame.
+    pub fn remote(&self) -> &[TaskId] {
+        &self.remote
+    }
+
+    /// The wire frames: `(worker, shard, tasks)` per destination pipeline.
+    pub fn frames(&self) -> impl Iterator<Item = (WorkerId, u32, &[TaskId])> + '_ {
+        self.frames.iter().map(|f| {
+            (
+                f.worker,
+                f.shard,
+                &self.remote[f.start as usize..f.end as usize],
+            )
+        })
+    }
+
+    /// True when nothing crosses the fabric.
+    pub fn is_all_local(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Serializations of the data item this plan charges.
+    pub fn serializations(&self) -> u32 {
+        self.serializations
+    }
+}
+
+/// One source task's router for one downstream edge: the grouping plus
+/// its [`RoutePlan`]. An all-grouped edge's plan does not depend on the
+/// tuple, so it is computed once, here; keyed and shuffled edges route
+/// into reusable scratch and refill the plan in place. Either way,
+/// routing a tuple in steady state allocates nothing.
+#[derive(Clone, Debug)]
+pub struct EdgeRouter {
+    grouping: GroupingExec,
+    mode: CommMode,
+    src: TaskId,
+    shards: u32,
+    plan: RoutePlan,
+    dsts: Vec<TaskId>,
+}
+
+impl EdgeRouter {
+    /// A router for `src`'s emissions over `grouping`, sending in `mode`
+    /// to workers split into `shards` pipelines each.
+    pub fn new(
+        grouping: GroupingExec,
+        mode: CommMode,
+        src: TaskId,
+        placement: &Placement,
+        shards: u32,
+    ) -> Self {
+        let mut plan = RoutePlan::default();
+        if *grouping.grouping() == Grouping::All {
+            plan.fill(mode, src, grouping.targets(), placement, shards);
+        }
+        EdgeRouter {
+            grouping,
+            mode,
+            src,
+            shards,
+            plan,
+            dsts: Vec::new(),
+        }
+    }
+
+    /// The edge's grouping.
+    pub fn grouping(&self) -> &Grouping {
+        self.grouping.grouping()
+    }
+
+    /// The plan for one tuple. `placement` must be the one the router was
+    /// built with.
+    ///
+    /// # Panics
+    ///
+    /// On a `Direct` edge, which needs an explicit destination.
+    pub fn route(
+        &mut self,
+        tuple: &Tuple,
+        placement: &Placement,
+    ) -> Result<&RoutePlan, RouteError> {
+        if *self.grouping.grouping() != Grouping::All {
+            self.grouping.route_into(tuple, None, &mut self.dsts)?;
+            self.plan
+                .fill(self.mode, self.src, &self.dsts, placement, self.shards);
+        }
+        Ok(&self.plan)
     }
 }
 

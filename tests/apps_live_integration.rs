@@ -39,15 +39,16 @@ fn run_stock(comm: CommMode, zero_copy: bool, machines: u32) -> RunReport {
     )
 }
 
-/// The candidate stage (index 3) is fed by `MatchingBolt`, which emits
-/// only when a driver location arrived before the request — a race
-/// between the two independent spout threads, exactly like the
-/// stock-exchange trade stage. Input-driven stages are compared exactly;
-/// candidates get a plausibility band (every instance answering every
-/// request is the ceiling).
-fn assert_candidates_plausible(r: &RunReport) {
-    assert!(r.executed[3] > 0, "no candidates at all");
-    assert!(r.executed[3] <= 400 * 12, "more candidates than possible");
+/// The candidate stage (index 3) is fed by `MatchingBolt`, which answers
+/// every request on every instance — with its best local driver, or an
+/// explicit no-candidate when no location reached that instance first —
+/// so the count is input-driven however the two spouts interleave.
+fn assert_every_instance_answers(r: &RunReport) {
+    assert_eq!(
+        r.executed[3],
+        400 * 12,
+        "one candidate per request per instance"
+    );
 }
 
 #[test]
@@ -58,8 +59,8 @@ fn ride_hailing_results_identical_across_comm_modes() {
     assert_eq!(io.spout_emitted, wo.spout_emitted);
     // The broadcast stage: 400 requests × 12 instances + 3000 locations.
     assert_eq!(wo.executed[2], 3_000 + 400 * 12);
-    assert_candidates_plausible(&io);
-    assert_candidates_plausible(&wo);
+    assert_every_instance_answers(&io);
+    assert_every_instance_answers(&wo);
     // But the mechanisms differ drastically in cost.
     assert!(io.serializations > wo.serializations);
     assert!(io.fabric_messages > wo.fabric_messages);
@@ -71,7 +72,7 @@ fn ride_hailing_results_stable_across_cluster_sizes() {
     for machines in [4, 8] {
         let r = run_ride(CommMode::WorkerOriented, true, machines);
         assert_eq!(r.executed[2], base.executed[2], "machines={machines}");
-        assert_candidates_plausible(&r);
+        assert_every_instance_answers(&r);
     }
 }
 
@@ -117,7 +118,7 @@ fn ride_hailing_results_identical_over_ring_fabric() {
         },
     );
     assert_eq!(ring.executed[..3], per_send.executed[..3]);
-    assert_candidates_plausible(&ring);
+    assert_every_instance_answers(&ring);
     assert_eq!(ring.spout_emitted, per_send.spout_emitted);
     assert!(ring.batches_flushed > 0, "ring path must batch");
     assert!(ring.outcome.is_clean());
