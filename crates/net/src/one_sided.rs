@@ -9,9 +9,11 @@
 //! path), and the receive side *fetches* — a modeled `RDMA READ` of the
 //! tail slot, addressed purely by sequence number via
 //! [`RingRegion::peek_at`], costed with [`Verb::Read`] through the
-//! [`QueuePair`] cost model. A doorbell wakes the background fetcher
-//! ([`spawn_fetcher`]) exactly like the ring flusher; deterministic
-//! callers drive [`OneSidedFabric::fetch_all`] themselves.
+//! [`QueuePair`] cost model. Every publish rings a doorbell that wakes
+//! the background fetcher ([`spawn_fetcher`]): unlike the ring flusher,
+//! which sleeps until a batch can come due, the fetcher drains a frame as
+//! soon as it is published. Deterministic callers drive
+//! [`OneSidedFabric::fetch_all`] themselves.
 //!
 //! Semantics shared with the other transports:
 //!
@@ -214,7 +216,9 @@ impl OneSidedFabric {
     }
 
     /// Remove an endpoint: subsequent sends fail, its outbox rings are
-    /// deregistered, and unfetched frames addressed to it are dropped.
+    /// deregistered, and unfetched frames addressed to it are dropped,
+    /// each counted as a send error and released from its link's queue
+    /// gauge.
     pub fn deregister(&self, id: EndpointId) {
         self.inboxes.write().remove(&id);
         let mut links = self.links.write();
@@ -224,9 +228,19 @@ impl OneSidedFabric {
             .copied()
             .collect();
         let mut registry = self.registry.lock();
+        let tracker = self.tracker.read();
         for key in dead {
             if let Some(slot) = links.remove(&key) {
-                registry.deregister(slot.lock().ring.region());
+                let mut link = slot.lock();
+                let staged = link.staged.take();
+                let published = std::iter::from_fn(|| link.ring.consume().map(|(_, msg)| msg));
+                for msg in staged.into_iter().chain(published) {
+                    self.send_errors.fetch_add(1, Ordering::Relaxed);
+                    if let Some(tracker) = tracker.as_ref() {
+                        tracker.on_dropped(msg.from, id, msg.payload.len());
+                    }
+                }
+                registry.deregister(link.ring.region());
             }
         }
     }
@@ -945,6 +959,35 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         fabric.export_metrics(&mut reg, "os");
         assert_eq!(reg.counter("os.deregistrations"), Some(1));
+    }
+
+    #[test]
+    fn deregister_settles_stranded_frames() {
+        use crate::topology::ClusterSpec;
+        let tracker = Arc::new(LinkTracker::new(ClusterSpec::with_rack_map(
+            4,
+            2,
+            1,
+            vec![0, 0, 1, 1],
+        )));
+        for m in 0..4u32 {
+            tracker.map_endpoint(EndpointId(m), MachineId(m));
+        }
+        let fabric = OneSidedFabric::new(cfg(8));
+        fabric.install_link_tracker(Arc::clone(&tracker));
+        let _rx = fabric.register(EndpointId(2)).unwrap();
+        for b in [&b"a"[..], b"bb", b"ccc"] {
+            fabric.send_copied(EndpointId(0), EndpointId(2), b).unwrap();
+        }
+        assert_eq!(tracker.max_uplink_queue(), 3, "uplink r0 holds the frames");
+        fabric.deregister(EndpointId(2));
+        assert_eq!(fabric.send_errors(), 3);
+        assert_eq!(fabric.messages(), 0);
+        assert_eq!(tracker.max_uplink_queue(), 0);
+        assert!(tracker
+            .snapshot()
+            .iter()
+            .all(|l| l.queued_frames == 0 && l.queued_bytes == 0));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! `RingFabric`: a bounded ring-buffer live transport with verbs-style
 //! doorbell semantics.
 //!
-//! Sends *post a descriptor* into a fixed-capacity per-endpoint ring and
-//! ring a doorbell — they never touch the destination inbox directly. A
-//! flusher (a background thread in live mode, or the caller via
-//! [`RingFabric::pump`] in deterministic mode) drains each ring into the
-//! stream-slicing [`Batcher`] and delivers whole MMS/WTL batches, so the
-//! live path exercises the same batching policy the simulator models
-//! (§4, Figs 11–12):
+//! Sends *post a descriptor* into a fixed-capacity per-endpoint ring —
+//! they never touch the destination inbox directly. A flusher (a
+//! background thread in live mode, or the caller via [`RingFabric::pump`]
+//! in deterministic mode) drains each ring into the stream-slicing
+//! [`Batcher`] and delivers whole MMS/WTL batches, so the live path
+//! exercises the same batching policy the simulator models (§4,
+//! Figs 11–12):
 //!
 //! - a post that would exceed the ring capacity fails with
 //!   [`SendError::Full`] — the bounded transfer queue of the paper's M/D/1
@@ -18,6 +18,14 @@
 //! - per-sender FIFO order is preserved end to end: posts enter the ring
 //!   in order, batches drain in order, deliveries retry in order when the
 //!   destination inbox is bounded and momentarily full.
+//!
+//! A post rings its flusher shard's doorbell only when it makes work due:
+//! when it turns an idle endpoint busy (the pump must take that first
+//! descriptor to start the batch's WTL clock), or when it brings the
+//! endpoint's buffered bytes (ring plus batcher) to MMS (a size flush is
+//! due). Every other post joins a batch whose WTL deadline the flusher
+//! already sleeps towards, so the flusher wakes per batch, not per
+//! descriptor, and drains everything that accumulated in one pass.
 //!
 //! Byte counters follow the same rule as [`LiveFabric`]: only bytes that
 //! actually reach an inbox count; failed posts and failed deliveries
@@ -52,8 +60,11 @@ pub struct RingConfig {
     /// Deterministic [`RingFabric::pump`]/[`RingFabric::flush_at`] ignore
     /// sharding and stay single-threaded. `0` is treated as `1`.
     pub flusher_shards: usize,
-    /// Idle heartbeat of each flusher shard: the longest a lost doorbell
-    /// wakeup can stall a fully idle fabric.
+    /// Idle heartbeat of each flusher shard: how long a shard with no WTL
+    /// deadline pending sleeps before it re-checks its rings unprompted.
+    /// Posts wake the shard themselves (idle → busy, or MMS reached), so
+    /// this only bounds how long a lost doorbell wakeup could stall a
+    /// fully idle fabric.
     pub idle_heartbeat: Duration,
     /// Backoff while a bounded inbox stays full and a flusher pass makes
     /// no delivery progress.
@@ -91,6 +102,9 @@ struct EndpointRing {
     id: EndpointId,
     /// Posted, not yet drained descriptors (the send ring proper).
     ring: VecDeque<LiveMessage>,
+    /// Payload bytes in `ring`: with the batcher's buffered bytes, what
+    /// the next pump offers toward MMS.
+    ring_bytes: usize,
     /// The MMS/WTL transfer buffer the flusher drains the ring into.
     batcher: Batcher<LiveMessage>,
     /// Destination inbox.
@@ -229,6 +243,7 @@ impl RingFabric {
             Arc::new(Mutex::new(EndpointRing {
                 id,
                 ring: VecDeque::new(),
+                ring_bytes: 0,
                 batcher: Batcher::new(self.config.batch),
                 tx,
                 undelivered: VecDeque::new(),
@@ -257,35 +272,66 @@ impl RingFabric {
         Ok(rx)
     }
 
-    /// Remove an endpoint; pending descriptors are dropped. Flush first if
-    /// they must arrive.
+    /// Remove an endpoint; pending descriptors are dropped, each counted
+    /// as a send error and released from its link's queue gauge. Flush
+    /// first if they must arrive.
     pub fn deregister(&self, id: EndpointId) {
-        self.endpoints.write().remove(&id);
+        let Some(slot) = self.endpoints.write().remove(&id) else {
+            return;
+        };
+        let mut ep = slot.lock();
+        let ep = &mut *ep;
+        let buffered = ep.batcher.flush().map(|b| b.items).unwrap_or_default();
+        let stranded = ep
+            .undelivered
+            .drain(..)
+            .chain(buffered)
+            .chain(ep.ring.drain(..));
+        let tracker = self.tracker.read();
+        for msg in stranded {
+            self.send_errors.fetch_add(1, Ordering::Relaxed);
+            if let Some(tracker) = tracker.as_ref() {
+                tracker.on_dropped(msg.from, id, msg.payload.len());
+            }
+        }
     }
 
-    /// Post a descriptor to `to`'s ring and ring the doorbell.
+    /// Post a descriptor to `to`'s ring, ringing the doorbell only when
+    /// the post makes work due (see the module docs).
     fn post(&self, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        let slot = self.endpoints.read().get(&to).cloned();
-        let Some(slot) = slot else {
+        // The map's read guard is held across the push, so a concurrent
+        // `deregister` either settles this descriptor or rejects the post.
+        let map = self.endpoints.read();
+        let Some(slot) = map.get(&to) else {
             self.send_errors.fetch_add(1, Ordering::Relaxed);
             return Err(SendError::UnknownEndpoint);
         };
-        {
-            let mut ep = slot.lock();
-            if ep.pending() >= self.config.ring_capacity {
-                drop(ep);
-                self.send_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(SendError::Full);
-            }
-            if let Some(tracker) = self.tracker.read().as_ref() {
-                // Accepted into the ring: the frame now occupies its link's
-                // queue until the flusher delivers (or drops) it.
-                tracker.on_send(msg.from, to, msg.payload.len());
-            }
-            ep.ring.push_back(msg);
+        let mut ep = slot.lock();
+        let pending = ep.pending();
+        if pending >= self.config.ring_capacity {
+            self.send_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(SendError::Full);
         }
+        let bytes = msg.payload.len();
+        if let Some(tracker) = self.tracker.read().as_ref() {
+            // Accepted into the ring: the frame now occupies its link's
+            // queue until the flusher delivers (or drops) it.
+            tracker.on_send(msg.from, to, bytes);
+        }
+        let buffered = ep.ring_bytes + ep.batcher.buffered_bytes();
+        ep.ring_bytes += bytes;
+        ep.ring.push_back(msg);
+        drop(ep);
+        drop(map);
         self.posted.fetch_add(1, Ordering::Relaxed);
-        self.doorbells[self.config.shard_of(to)].ring();
+        // Due now: an idle endpoint's first descriptor (the pump must
+        // stamp its WTL clock) or the one that brings the buffered bytes
+        // to MMS (a size flush). Any other post joins a batch whose
+        // deadline the flusher already sleeps towards.
+        let mms = self.config.batch.mms;
+        if pending == 0 || (buffered < mms && buffered + bytes >= mms) {
+            self.doorbells[self.config.shard_of(to)].ring();
+        }
         Ok(())
     }
 
@@ -413,6 +459,7 @@ impl RingFabric {
             let mut ep = slot.lock();
             while let Some(msg) = ep.ring.pop_front() {
                 let bytes = msg.payload.len();
+                ep.ring_bytes -= bytes;
                 if let Some(batch) = ep.batcher.offer(now, msg, bytes) {
                     self.note_batch(batch.items.len());
                     ep.undelivered.extend(batch.items);
@@ -676,10 +723,11 @@ impl Drop for RingFlusher {
 }
 
 /// Spawn the background flusher: one drain worker per
-/// [`RingConfig::flusher_shards`], each waiting on its shard's doorbell,
-/// pumping its shard's rings on every post, honouring WTL deadlines
-/// between posts, and force-flushing its shard on stop. An endpoint is
-/// always drained by the same shard, so per-endpoint FIFO order holds.
+/// [`RingConfig::flusher_shards`], each sleeping until its shard's
+/// doorbell (a post made work due), the earliest WTL deadline, the stall
+/// backoff or the idle heartbeat, then pumping its shard's rings in one
+/// pass, and force-flushing its shard on stop. An endpoint is always
+/// drained by the same shard, so per-endpoint FIFO order holds.
 pub fn spawn_flusher(fabric: Arc<RingFabric>) -> RingFlusher {
     let handles = (0..fabric.config.shard_count())
         .map(|shard| {
@@ -968,6 +1016,105 @@ mod tests {
             .collect();
         assert_eq!(got, (0..50).collect::<Vec<u8>>());
         flusher.stop();
+    }
+
+    /// Post the first frame of a burst and wait until the flusher has
+    /// taken it into the batcher and gone back to sleep on its WTL
+    /// deadline, so the rest of the burst must wake it by itself.
+    fn arm_wtl_timer(fabric: &RingFabric, from: EndpointId, to: EndpointId, frame: &[u8]) {
+        fabric.send_copied(from, to, frame).unwrap();
+        let armed = Instant::now();
+        while fabric.next_deadline() == Some(SimTime::ZERO) {
+            assert!(armed.elapsed() < Duration::from_secs(5), "flusher pumps");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    #[test]
+    fn live_flusher_wakes_when_a_post_brings_the_batch_to_mms() {
+        // WTL 10 s: only the post that reaches MMS (8 × 8 B = 64 B) can
+        // make the batch due within the timeout.
+        let fabric = Arc::new(RingFabric::new(cfg(1024, 64, 10_000)));
+        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        arm_wtl_timer(&fabric, EndpointId(0), EndpointId(1), &[0; 8]);
+        for i in 1..8u8 {
+            fabric
+                .send_copied(EndpointId(0), EndpointId(1), &[i; 8])
+                .unwrap();
+        }
+        let got: Vec<u8> = (0..8)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(5))
+                    .expect("the MMS post wakes the flusher")
+                    .payload
+                    .bytes()[0]
+            })
+            .collect();
+        assert_eq!(got, (0..8).collect::<Vec<u8>>());
+        assert_eq!(fabric.flushed_batches(), 1);
+        flusher.stop();
+    }
+
+    #[test]
+    fn live_posts_join_the_batch_whose_timer_is_running() {
+        let fabric = Arc::new(RingFabric::new(cfg(1024, 1_000_000, 200)));
+        let flusher = spawn_flusher(Arc::clone(&fabric));
+        let rx = fabric.register(EndpointId(1)).unwrap();
+        arm_wtl_timer(&fabric, EndpointId(0), EndpointId(1), &[0]);
+        for i in 1..50u8 {
+            fabric
+                .send_copied(EndpointId(0), EndpointId(1), &[i])
+                .unwrap();
+        }
+        let got: Vec<u8> = (0..50)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(5))
+                    .expect("the WTL deadline flushes the batch")
+                    .payload
+                    .bytes()[0]
+            })
+            .collect();
+        assert_eq!(got, (0..50).collect::<Vec<u8>>());
+        assert_eq!(fabric.flushed_batches(), 1, "one WTL batch of all 50");
+        flusher.stop();
+    }
+
+    #[test]
+    fn deregister_settles_stranded_frames() {
+        use crate::topology::{ClusterSpec, MachineId};
+        let tracker = Arc::new(LinkTracker::new(ClusterSpec::with_rack_map(
+            4,
+            2,
+            1,
+            vec![0, 0, 1, 1],
+        )));
+        for m in 0..4u32 {
+            tracker.map_endpoint(EndpointId(m), MachineId(m));
+        }
+        let fabric = RingFabric::new(cfg(16, 1_000_000, 1));
+        fabric.install_link_tracker(Arc::clone(&tracker));
+        let _rx = fabric.register(EndpointId(2)).unwrap();
+        // One frame in the batcher, two still in the ring: both stages
+        // must be settled.
+        fabric
+            .send_copied(EndpointId(0), EndpointId(2), b"a")
+            .unwrap();
+        fabric.pump(SimTime::ZERO);
+        for b in [b"bb", b"cc"] {
+            fabric.send_copied(EndpointId(0), EndpointId(2), b).unwrap();
+        }
+        assert_eq!(tracker.max_uplink_queue(), 3, "uplink r0 holds the frames");
+        fabric.deregister(EndpointId(2));
+        assert_eq!(fabric.send_errors(), 3);
+        assert_eq!(fabric.messages(), 0);
+        assert_eq!(fabric.queue_depth(), 0);
+        assert_eq!(tracker.max_uplink_queue(), 0);
+        assert!(tracker
+            .snapshot()
+            .iter()
+            .all(|l| l.queued_frames == 0 && l.queued_bytes == 0));
     }
 
     #[test]
