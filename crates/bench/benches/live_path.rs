@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use whale_dsps::{BufferPool, PoolConfig};
-use whale_net::{BatchConfig, EndpointId, RingConfig, RingFabric};
+use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
 use whale_sim::{SimDuration, SimTime};
 
 use bytes::BufMut;
@@ -49,7 +49,6 @@ fn sharded_ring(shards: usize) -> RingFabric {
             wtl: SimDuration::from_millis(1),
         },
         flusher_shards: shards,
-        ..RingConfig::default()
     })
 }
 

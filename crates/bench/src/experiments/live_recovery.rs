@@ -40,7 +40,7 @@ use whale_dsps::{
     Operators, RunOutcome, Schema, Topology, TopologyBuilder, Tuple, Value,
 };
 use whale_net::{
-    EndpointCrash, EndpointId, EndpointRestart, FabricKind, FaultPlan, OneSidedConfig,
+    EndpointCrash, EndpointId, EndpointRestart, FabricKind, FabricPath, FaultPlan, OneSidedConfig,
     OneSidedFabric, PartitionLog, RingConfig,
 };
 use whale_sim::JsonValue;

@@ -12,7 +12,7 @@
 
 use crate::{Scale, Table};
 use std::sync::Arc;
-use whale_net::{BatchConfig, EndpointId, RingConfig, RingFabric};
+use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
 use whale_sim::{CostModel, SimDuration, SimTime, Transport};
 
 /// Tuple payload size, matching the Figs 11/12 calibration runs.

@@ -21,7 +21,7 @@
 use crate::{Scale, Table};
 use bytes::BufMut;
 use whale_dsps::BufferPool;
-use whale_net::{BatchConfig, EndpointId, RingConfig, RingFabric};
+use whale_net::{BatchConfig, EndpointId, FabricPath, RingConfig, RingFabric};
 use whale_sim::{CostModel, JsonValue, SimDuration, SimTime, Transport};
 
 /// Tuple payload size, matching the Figs 11/12 and E19 calibration runs.
@@ -136,7 +136,6 @@ pub fn measure(scale: Scale, fanout: u32, shards: usize) -> ZeroCopyPoint {
             wtl: SimDuration::from_millis(1),
         },
         flusher_shards: shards,
-        ..RingConfig::default()
     };
     let source = EndpointId(0);
 

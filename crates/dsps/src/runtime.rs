@@ -114,84 +114,12 @@ enum ExecMsg {
     Eos(TaskId),
 }
 
-/// What a task pushes to its dedicated sending thread.
-enum SendMsg {
-    /// An emitted tuple to route and transmit, with its tracked id when
-    /// the run tracks deliveries.
-    Data(Tuple, Option<u64>),
-    /// The task has finished: flush and broadcast EOS, then exit.
-    Eos,
-}
-
 /// Per-task routing state: one [`EdgeRouter`] per downstream edge. An
 /// all-grouped edge's [`RoutePlan`] (local tasks plus one frame per
 /// destination pipeline) is computed once, at build; keyed and shuffled
 /// edges refill reusable scratch. Steady-state routing allocates nothing.
 struct Groupings {
     edges: Vec<(ComponentId, EdgeRouter)>,
-}
-
-/// Where a task's emissions go: routed inline on the task's own thread,
-/// or queued to its dedicated sending thread (Storm's executor design).
-enum Outbox {
-    Inline(Groupings),
-    Queued(Sender<SendMsg>),
-}
-
-impl Outbox {
-    fn emit(&mut self, routing: &Routing, src: TaskId, tuple: Tuple, tracked: Option<u64>) {
-        match self {
-            Outbox::Inline(groupings) => routing.emit(src, groupings, tuple, tracked),
-            Outbox::Queued(tx) => {
-                let _ = tx.send(SendMsg::Data(tuple, tracked));
-            }
-        }
-    }
-
-    /// Signal end-of-stream: inline outboxes broadcast immediately; queued
-    /// ones enqueue the EOS behind any pending data so ordering holds.
-    fn finish(self, routing: &Routing, src: TaskId) {
-        match self {
-            Outbox::Inline(_) => routing.broadcast_eos(src),
-            Outbox::Queued(tx) => {
-                let _ = tx.send(SendMsg::Eos);
-            }
-        }
-    }
-}
-
-/// The dedicated sending thread: owns the task's grouping state, drains
-/// the send queue, serializes, and transmits.
-fn sender_loop(task: TaskId, comp: ComponentId, rx: Receiver<SendMsg>, routing: &Routing) {
-    let mut groupings = build_groupings(routing, task, comp);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            SendMsg::Data(t, tracked) => routing.emit(task, &mut groupings, t, tracked),
-            SendMsg::Eos => {
-                routing.broadcast_eos(task);
-                return;
-            }
-        }
-    }
-}
-
-/// Build a task's outbox (and its sender thread when configured).
-fn make_outbox(
-    routing: &Arc<Routing>,
-    task: TaskId,
-    comp: ComponentId,
-    sender_handles: &mut Vec<std::thread::JoinHandle<()>>,
-) -> Outbox {
-    if routing.config.dedicated_senders {
-        let (tx, rx) = unbounded();
-        let routing = Arc::clone(routing);
-        sender_handles.push(std::thread::spawn(move || {
-            sender_loop(task, comp, rx, &routing)
-        }));
-        Outbox::Queued(tx)
-    } else {
-        Outbox::Inline(build_groupings(routing, task, comp))
-    }
 }
 
 /// Runtime configuration.
@@ -229,10 +157,6 @@ pub struct LiveConfig {
     /// inbox backpressures the sender under [`LiveConfig::send`] and
     /// drops loudly (`send_failed`) if it never clears.
     pub shard_inbox_capacity: usize,
-    /// Storm's executor architecture (§4): each task has a dedicated
-    /// sending thread draining its send queue, so serialization and
-    /// transmission happen off the worker thread. `false` = emit inline.
-    pub dedicated_senders: bool,
     /// Which live transport carries inter-worker frames: synchronous
     /// per-send delivery, or descriptors posted to per-endpoint rings and
     /// flushed in MMS/WTL batches (the paper's stream slicing, §4).
@@ -283,7 +207,6 @@ impl Default for LiveConfig {
             multicast_adaptive: None,
             shards: 1,
             shard_inbox_capacity: 4096,
-            dedicated_senders: false,
             fabric: FabricKind::PerSend,
             send: SendPolicy::default(),
             ack: None,
@@ -467,8 +390,7 @@ pub struct RunStats {
 struct CacheLine<T>(T);
 
 /// One pipeline's per-delivery counters. Only the thread running the
-/// pipeline writes its set; threads that run no pipeline (dedicated
-/// senders) share one extra set. The report and the timeline sum every
+/// pipeline writes its set, and the report and the timeline sum every
 /// set, so no two pipelines ever write the same cache line.
 #[repr(align(64))]
 #[derive(Debug, Default)]
@@ -494,9 +416,9 @@ struct PipelineCounters {
 }
 
 impl PipelineCounters {
-    /// One set per pipeline (`n_flat`), plus the shared set last.
+    /// One set per pipeline (`n_flat`).
     fn for_run(n_flat: usize, n_components: usize) -> Box<[PipelineCounters]> {
-        (0..=n_flat)
+        (0..n_flat)
             .map(|_| PipelineCounters {
                 executed: (0..n_components).map(|_| CacheLine::default()).collect(),
                 ..PipelineCounters::default()
@@ -1053,8 +975,8 @@ struct Routing {
     /// Pipeline threads per worker (`LiveConfig::shards`, clamped ≥ 1).
     shards: u32,
     stats: Arc<RunStats>,
-    /// Per-delivery counters: one set per flat shard, plus the set that
-    /// threads without a pipeline share (see [`Routing::counters`]).
+    /// Per-delivery counters: one set per flat shard (see
+    /// [`Routing::counters`]).
     counters: Box<[PipelineCounters]>,
     /// The run clock the latency probe stamps against.
     clock: Instant,
@@ -1319,8 +1241,8 @@ impl RelayState {
 thread_local! {
     /// Flat shard id of the pipeline running on this thread, if any.
     /// Deliveries targeting this shard skip the inbox and loop back
-    /// through [`LOCAL_QUEUE`]; threads without a pipeline (dedicated
-    /// senders, tests) always deliver through the inboxes.
+    /// through [`LOCAL_QUEUE`]; threads without a pipeline always deliver
+    /// through the inboxes.
     static CURRENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
     /// Same-shard deliveries looped back without touching any channel;
     /// the owning pipeline drains it after every operator step.
@@ -1334,13 +1256,12 @@ impl Routing {
         t.0 % self.shards
     }
 
-    /// The calling thread's own counter set: its pipeline's, or the set
-    /// shared by threads that run no pipeline.
+    /// The calling pipeline's own counter set. Only pipeline threads
+    /// route, execute and relay, so only they count.
     fn counters(&self) -> &PipelineCounters {
-        let own = CURRENT_SHARD
-            .with(Cell::get)
-            .unwrap_or(self.counters.len() - 1);
-        &self.counters[own]
+        let own = CURRENT_SHARD.with(Cell::get);
+        debug_assert!(own.is_some(), "counters are written on pipeline threads");
+        &self.counters[own.unwrap_or(0)]
     }
 
     /// Nanoseconds on the run clock.
@@ -2123,18 +2044,20 @@ impl Emitted {
     }
 }
 
-struct OutboxEmitter<'a> {
+/// A bolt's emitter: routes each emission inline, on the bolt's own
+/// pipeline thread.
+struct TaskEmitter<'a> {
     routing: &'a Routing,
     src: TaskId,
-    outbox: &'a mut Outbox,
+    groupings: &'a mut Groupings,
 }
 
-impl Emitter for OutboxEmitter<'_> {
+impl Emitter for TaskEmitter<'_> {
     fn emit(&mut self, tuple: Tuple) {
         // Bolt emissions are untracked: the acker tracks spout roots to
         // their first-hop subscribers (delivery tracking, not full tree
         // tracking — replays re-enter at the spout).
-        self.outbox.emit(self.routing, self.src, tuple, None);
+        self.routing.emit(self.src, self.groupings, tuple, None);
     }
 }
 
@@ -2399,7 +2322,6 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
     // (stable `task % shards` map) — operators are constructed here on
     // the driver thread so factory panics surface as config-time panics,
     // not degraded runs.
-    let mut sender_handles = Vec::new();
     let mut pipelines: Vec<ShardPipeline> = Vec::with_capacity(n_flat);
     let (done_tx, done_rx) = unbounded::<()>();
     for (flat, fabric_rx) in shard_fabric_rx.into_iter().enumerate() {
@@ -2425,7 +2347,7 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
             .enumerate()
         {
             let flat = routing.flat_shard_of(task);
-            let outbox = make_outbox(&routing, task, comp.id, &mut sender_handles);
+            let groupings = build_groupings(&routing, task, comp.id);
             match comp.kind {
                 ComponentKind::Spout => {
                     let spout_factory = operators
@@ -2435,7 +2357,7 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
                     pipelines[flat].spouts.push(SpoutState {
                         task,
                         spout: spout_factory(idx as u32),
-                        outbox: Some(outbox),
+                        groupings: Some(groupings),
                         pending: HashMap::new(),
                         since_prune: 0,
                         phase: SpoutPhase::Emitting,
@@ -2458,7 +2380,7 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
                             task,
                             comp: comp.id,
                             bolt: bolt_factory(idx as u32),
-                            outbox: Some(outbox),
+                            groupings: Some(groupings),
                             eos_seen: HashSet::new(),
                             expected_eos,
                             acked_tracked: HashSet::new(),
@@ -2496,15 +2418,10 @@ pub fn run_topology(topology: Topology, operators: Operators, config: LiveConfig
             break;
         }
     }
-    // Join sender threads even if some panicked: bailing on the first
+    // Join helper threads even if some panicked: bailing on the first
     // failure would skip the endpoint teardown below and leave the
     // pipeline threads spinning on an open fabric forever.
     let mut thread_panics = 0u64;
-    for h in sender_handles {
-        if h.join().is_err() {
-            thread_panics += 1;
-        }
-    }
     // Producers done: stop reconfiguring before the fabric tears down.
     adaptive_stop.store(true, Ordering::Relaxed);
     if let Some(h) = adaptive_handle {
@@ -2889,7 +2806,7 @@ struct SpoutState {
     task: TaskId,
     spout: Box<dyn Spout>,
     /// Taken exactly once, at EOS broadcast.
-    outbox: Option<Outbox>,
+    groupings: Option<Groupings>,
     /// Tracked ids still in flight: id → (tuple, attempt).
     pending: HashMap<u64, (Tuple, u32)>,
     since_prune: u32,
@@ -2926,8 +2843,8 @@ fn spout_step(
                     }
                     state.pending.clear();
                 }
-                if let Some(ob) = state.outbox.take() {
-                    ob.finish(routing, state.task);
+                if state.groupings.take().is_some() {
+                    routing.broadcast_eos(state.task);
                 }
                 state.phase = SpoutPhase::Done;
                 return true;
@@ -2942,21 +2859,21 @@ fn spout_step(
                         };
                     }
                     None => {
-                        if let Some(ob) = state.outbox.take() {
-                            ob.finish(routing, state.task);
+                        if state.groupings.take().is_some() {
+                            routing.broadcast_eos(state.task);
                         }
                         state.phase = SpoutPhase::Done;
                     }
                 }
                 return true;
             };
-            let outbox = state.outbox.as_mut().expect("emitting spout has an outbox");
+            let groupings = state.groupings.as_mut().expect("emitting spout has groupings");
             stats.spout_emitted.fetch_add(1, Ordering::Relaxed);
             if t.id != 0 && t.id % LATENCY_SAMPLE == 0 {
                 probe.emitted.push((t.id, routing.now_ns()));
             }
             match routing.ack.as_ref() {
-                None => outbox.emit(routing, state.task, t, None),
+                None => routing.emit(state.task, groupings, t, None),
                 Some(ack) => {
                     let tracked = ack.next_root.fetch_add(1, Ordering::Relaxed) & ROOT_MASK;
                     // Register before emitting: an executor's ack can land
@@ -2965,7 +2882,7 @@ fn spout_step(
                     // if the entry already exists.
                     ack.acker.lock().init(tracked, 0, ack.now());
                     state.pending.insert(tracked, (t.clone(), 0));
-                    outbox.emit(routing, state.task, t, Some(tracked));
+                    routing.emit(state.task, groupings, t, Some(tracked));
                     state.since_prune += 1;
                     if state.since_prune >= 64 {
                         state.since_prune = 0;
@@ -3010,13 +2927,13 @@ fn spout_step(
                 state.pending.insert(tracked, (tuple.clone(), attempt));
                 ack.replayed.fetch_add(1, Ordering::Relaxed);
                 replayed = true;
-                let outbox = state.outbox.as_mut().expect("draining spout has an outbox");
-                outbox.emit(routing, state.task, tuple, Some(tracked));
+                let groupings = state.groupings.as_mut().expect("draining spout has groupings");
+                routing.emit(state.task, groupings, tuple, Some(tracked));
             }
             prune_completed(routing, ack, &mut state.pending);
             if state.pending.is_empty() {
-                if let Some(ob) = state.outbox.take() {
-                    ob.finish(routing, state.task);
+                if state.groupings.take().is_some() {
+                    routing.broadcast_eos(state.task);
                 }
                 state.phase = SpoutPhase::Done;
                 return true;
@@ -3035,8 +2952,8 @@ fn spout_step(
                     }
                 }
                 state.pending.clear();
-                if let Some(ob) = state.outbox.take() {
-                    ob.finish(routing, state.task);
+                if state.groupings.take().is_some() {
+                    routing.broadcast_eos(state.task);
                 }
                 state.phase = SpoutPhase::Done;
                 return true;
@@ -3215,7 +3132,7 @@ struct BoltState {
     comp: ComponentId,
     bolt: Box<dyn Bolt>,
     /// Taken exactly once, at EOS broadcast.
-    outbox: Option<Outbox>,
+    groupings: Option<Groupings>,
     eos_seen: HashSet<TaskId>,
     expected_eos: usize,
     /// Tracked ids already XOR'd into the acker (a duplicated frame must
@@ -3269,11 +3186,11 @@ fn bolt_handle(
             if id != 0 && id % LATENCY_SAMPLE == 0 {
                 probe.executed.push((id, routing.now_ns()));
             }
-            let outbox = state.outbox.as_mut().expect("live bolt has an outbox");
-            let mut emitter = OutboxEmitter {
+            let groupings = state.groupings.as_mut().expect("live bolt has groupings");
+            let mut emitter = TaskEmitter {
                 routing,
                 src: state.task,
-                outbox,
+                groupings,
             };
             let bolt = &mut state.bolt;
             let was_materialized = t.is_materialized();
@@ -3309,14 +3226,14 @@ fn finish_bolt(state: &mut BoltState, routing: &Routing, stats: &RunStats) {
         return;
     }
     state.done = true;
-    let Some(mut ob) = state.outbox.take() else {
+    let Some(mut groupings) = state.groupings.take() else {
         return;
     };
     if !state.poisoned {
-        let mut emitter = OutboxEmitter {
+        let mut emitter = TaskEmitter {
             routing,
             src: state.task,
-            outbox: &mut ob,
+            groupings: &mut groupings,
         };
         let bolt = &mut state.bolt;
         if catch_unwind(AssertUnwindSafe(|| bolt.finish(&mut emitter))).is_err() {
@@ -3324,7 +3241,7 @@ fn finish_bolt(state: &mut BoltState, routing: &Routing, stats: &RunStats) {
             stats.op_panics.fetch_add(1, Ordering::Relaxed);
         }
     }
-    ob.finish(routing, state.task);
+    routing.broadcast_eos(state.task);
 }
 
 /// Fabric frames and cross-shard messages consumed per scheduling pass
@@ -3336,7 +3253,7 @@ const IDLE_SPINS: u32 = 64;
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
 /// One shard-owned pipeline: the whole hot path for its slice of tasks —
-/// fabric reader, routing (inside each task's outbox), execution, and
+/// fabric reader, routing (each task's groupings), execution, and
 /// sink — on one thread, with no central dispatcher. See the module docs.
 struct ShardPipeline {
     /// Flat shard id (`worker * shards + shard`) — also the fabric
@@ -3526,7 +3443,6 @@ mod tests {
                 comm_mode: mode,
                 zero_copy,
                 multicast_d_star: None,
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },
@@ -3587,7 +3503,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: Some(2),
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },
@@ -3614,7 +3529,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: Some(2),
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },
@@ -3622,48 +3536,6 @@ mod tests {
         assert_eq!(r.relay_forwards, 100 * 5);
         // Still exactly one serialization per broadcast tuple.
         assert_eq!(r.executed[1], 100 * 16);
-    }
-
-    #[test]
-    fn dedicated_senders_match_inline_results() {
-        let (t, ops) = counting_topology(4, 8);
-        let queued = run_topology(
-            t,
-            ops,
-            LiveConfig {
-                machines: 4,
-                comm_mode: CommMode::WorkerOriented,
-                zero_copy: true,
-                multicast_d_star: None,
-                dedicated_senders: true,
-                fabric: FabricKind::PerSend,
-                ..LiveConfig::default()
-            },
-        );
-        let inline = run(CommMode::WorkerOriented, true, 4, 8);
-        assert_eq!(queued.executed, inline.executed);
-        assert_eq!(queued.spout_emitted, inline.spout_emitted);
-        assert_eq!(queued.serializations, inline.serializations);
-    }
-
-    #[test]
-    fn dedicated_senders_with_relay_tree() {
-        let (t, ops) = counting_topology(8, 16);
-        let r = run_topology(
-            t,
-            ops,
-            LiveConfig {
-                machines: 8,
-                comm_mode: CommMode::WorkerOriented,
-                zero_copy: true,
-                multicast_d_star: Some(2),
-                dedicated_senders: true,
-                fabric: FabricKind::PerSend,
-                ..LiveConfig::default()
-            },
-        );
-        assert_eq!(r.executed[1], 100 * 16);
-        assert_eq!(r.relay_forwards, 100 * 5);
     }
 
     #[test]
@@ -3703,7 +3575,6 @@ mod tests {
                 comm_mode: CommMode::InstanceOriented,
                 zero_copy: false,
                 multicast_d_star: Some(2),
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },
@@ -3739,7 +3610,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: None,
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },
@@ -3821,7 +3691,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: None,
-                dedicated_senders: false,
                 fabric: FabricKind::Ring(whale_net::RingConfig::default()),
                 ..LiveConfig::default()
             },
@@ -3840,7 +3709,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_fabric_with_relay_tree_and_dedicated_senders() {
+    fn ring_fabric_with_relay_tree() {
         let (t, ops) = counting_topology(8, 16);
         let r = run_topology(
             t,
@@ -3850,7 +3719,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: Some(2),
-                dedicated_senders: true,
                 fabric: FabricKind::Ring(whale_net::RingConfig::default()),
                 ..LiveConfig::default()
             },
@@ -3872,7 +3740,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: None,
-                dedicated_senders: false,
                 fabric: FabricKind::OneSided(whale_net::OneSidedConfig::default()),
                 ..LiveConfig::default()
             },
@@ -3890,7 +3757,7 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_fabric_with_relay_tree_and_dedicated_senders() {
+    fn one_sided_fabric_with_relay_tree() {
         let (t, ops) = counting_topology(8, 16);
         let r = run_topology(
             t,
@@ -3900,7 +3767,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: true,
                 multicast_d_star: Some(2),
-                dedicated_senders: true,
                 fabric: FabricKind::OneSided(whale_net::OneSidedConfig::default()),
                 ..LiveConfig::default()
             },
@@ -3927,7 +3793,7 @@ mod tests {
             shard_inboxes: Vec::new(),
             shards: 1,
             stats: Arc::new(RunStats::default()),
-            counters: PipelineCounters::for_run(0, n_components),
+            counters: PipelineCounters::for_run(1, n_components),
             clock: Instant::now(),
             ack: None,
             relay,
@@ -3936,9 +3802,11 @@ mod tests {
         }
     }
 
-    /// Hand each frame to [`on_frame`] as worker 0's pipeline would.
+    /// Hand each frame to [`on_frame`] as worker 0's pipeline (shard 0)
+    /// would.
     fn feed(routing: &Routing, frames: &[Vec<u8>]) {
         let (mut scratch, mut probe) = (Vec::new(), LatencyProbe::default());
+        CURRENT_SHARD.with(|c| c.set(Some(0)));
         for f in frames {
             let msg = whale_net::LiveMessage {
                 from: EndpointId(1),
@@ -3946,6 +3814,7 @@ mod tests {
             };
             on_frame(0, &msg, routing, &mut scratch, &mut probe);
         }
+        CURRENT_SHARD.with(|c| c.set(None));
     }
 
     #[test]
@@ -3956,7 +3825,6 @@ mod tests {
                 comm_mode: CommMode::WorkerOriented,
                 zero_copy: false,
                 multicast_d_star: None,
-                dedicated_senders: false,
                 fabric: FabricKind::PerSend,
                 ..LiveConfig::default()
             },

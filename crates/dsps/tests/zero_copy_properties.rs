@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use whale_dsps::codec;
 use whale_dsps::{BufferPool, InstanceMessage, TaskId, Tuple, Value, WorkerMessage};
-use whale_net::{EndpointId, LiveFabric};
+use whale_net::{EndpointId, FabricPath, LiveFabric};
 
 /// Build a deterministic tuple of `arity` values from a generated seed.
 /// Cycles through every `Value` variant so the codec's full tag range is

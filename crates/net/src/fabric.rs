@@ -11,18 +11,24 @@
 //!   (`Arc<[u8]>`), the in-process analogue of zero-copy: `n` destinations
 //!   cost one serialization and `n` pointer bumps.
 //!
-//! Two transports implement the common [`FabricPath`] trait:
-//! [`LiveFabric`] (synchronous per-send delivery) and
+//! Three transports implement the common [`FabricPath`] trait:
+//! [`LiveFabric`] (synchronous per-send delivery),
 //! [`crate::RingFabric`] (descriptors posted to per-endpoint rings,
 //! drained in MMS/WTL batches by a flusher — the paper's stream slicing
-//! on the live path).
+//! on the live path) and [`crate::OneSidedFabric`] (frames published
+//! into per-link outboxes and fetched by modeled `RDMA READ`s). They
+//! differ only in how a frame travels: registration, the delivery
+//! counters and the rule that moves them, link attribution and the
+//! settling of stranded frames live once, in the crate-private
+//! `EndpointTable`.
 
 use crate::topology::LinkTracker;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
+use std::convert::identity;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a fabric endpoint (a worker process in the live runtime).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -111,30 +117,47 @@ impl std::fmt::Display for RegisterError {
 impl std::error::Error for RegisterError {}
 
 /// Common interface of the live transports, so callers can swap the
-/// synchronous per-send path and the batched ring path freely.
+/// synchronous per-send path, the batched ring path and the remote-fetch
+/// path freely. Each keeps its endpoints and counters in an
+/// `EndpointTable` (see the module docs), so all of them count by the
+/// same rule.
 pub trait FabricPath: Send + Sync {
     /// Register an endpoint with an unbounded inbox; returns its receiver.
     fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError>;
 
     /// Register an endpoint with a bounded inbox of `capacity` (models the
-    /// destination's transfer queue; deliveries fail with
-    /// [`SendError::Full`]).
+    /// destination's transfer queue): a synchronous send into a full inbox
+    /// fails with [`SendError::Full`]; buffered transports hold the frame
+    /// and retry it in order.
     fn register_bounded(
         &self,
         id: EndpointId,
         capacity: usize,
     ) -> Result<Receiver<LiveMessage>, RegisterError>;
 
-    /// Remove an endpoint; subsequent sends fail.
+    /// Remove an endpoint; subsequent sends fail, and frames still
+    /// buffered for it are settled as send errors.
     fn deregister(&self, id: EndpointId);
 
+    /// Send one frame. Its bytes count toward [`FabricPath::copied_bytes`]
+    /// or [`FabricPath::shared_bytes`], by payload, once it reaches the
+    /// destination inbox.
+    fn send(&self, from: EndpointId, to: EndpointId, payload: Payload) -> Result<(), SendError>;
+
     /// TCP-semantics send: the bytes are copied into the message.
-    fn send_copied(&self, from: EndpointId, to: EndpointId, bytes: &[u8])
-        -> Result<(), SendError>;
+    fn send_copied(&self, from: EndpointId, to: EndpointId, bytes: &[u8]) -> Result<(), SendError> {
+        self.send(from, to, Payload::Copied(bytes.to_vec()))
+    }
 
     /// RDMA-semantics send: the shared buffer is passed by reference.
-    fn send_shared(&self, from: EndpointId, to: EndpointId, buf: Arc<[u8]>)
-        -> Result<(), SendError>;
+    fn send_shared(
+        &self,
+        from: EndpointId,
+        to: EndpointId,
+        buf: Arc<[u8]>,
+    ) -> Result<(), SendError> {
+        self.send(from, to, Payload::Shared(buf))
+    }
 
     /// Force out anything the transport has buffered (no-op when the
     /// transport delivers synchronously).
@@ -175,34 +198,248 @@ pub trait FabricPath: Send + Sync {
     fn endpoint_count(&self) -> usize;
 
     /// Install a [`LinkTracker`] so sends are attributed to physical
-    /// links via the cluster placement map. Transports that support
-    /// per-link accounting override this; the default ignores the
-    /// tracker (no per-link visibility). Install on the *outermost*
-    /// fabric only — a decorator that both tracked itself and delegated
-    /// to a tracked inner transport would double-count every frame.
-    fn install_link_tracker(&self, _tracker: Arc<LinkTracker>) {}
+    /// links via the cluster placement map; the first tracker installed
+    /// stays. Install on the *outermost* fabric only — a decorator that
+    /// both tracked itself and delegated to a tracked inner transport
+    /// would double-count every frame.
+    fn install_link_tracker(&self, tracker: Arc<LinkTracker>);
 
     /// Export delivery counters into `reg` under `prefix.*`.
     fn export_metrics(&self, reg: &mut whale_sim::MetricsRegistry, prefix: &str);
 }
 
-struct EndpointSlot {
-    tx: Sender<LiveMessage>,
+/// The bookkeeping every live transport shares, written once: the
+/// endpoint registry, the delivery counters and the rule that moves
+/// them, per-link attribution, and the settling of frames a
+/// deregistration strands. `E` is the transport's per-endpoint state
+/// (the inbox sender itself, or a ring around it); each transport adds
+/// only how a frame travels — post, publish, pump or fetch.
+///
+/// **The counting rule.** A frame counts toward `messages` and toward
+/// `copied_bytes` or `shared_bytes` (by payload) only once it is in the
+/// destination inbox. [`EndpointTable::deliver`] bumps the counters
+/// *before* the hand-off — the channel's send→recv synchronization then
+/// guarantees that a receiver which has seen a message also sees it
+/// counted — and undoes them when the hand-off fails. A send that fails,
+/// whether rejected up front or accepted and dropped later, counts only
+/// as one `send_error`.
+///
+/// **Link attribution.** With a [`LinkTracker`] installed, a frame the
+/// transport accepts raises its link's queue gauge
+/// ([`EndpointTable::accept`]); delivery settles the gauge and counts
+/// the bytes; a drop ([`EndpointTable::settle`]) only settles the gauge.
+pub(crate) struct EndpointTable<E> {
+    endpoints: RwLock<HashMap<EndpointId, E>>,
+    messages: AtomicU64,
+    copied_bytes: AtomicU64,
+    shared_bytes: AtomicU64,
+    send_errors: AtomicU64,
+    tracker: OnceLock<Arc<LinkTracker>>,
+}
+
+/// Outcome of one inbox hand-off ([`EndpointTable::deliver`]).
+pub(crate) enum Handoff {
+    /// In the inbox and counted.
+    Delivered,
+    /// The bounded inbox is full: nothing counted, and the frame comes
+    /// back for the transport to retry or to fail.
+    Full(LiveMessage),
+    /// The receiver is gone: the frame was settled as a send error.
+    Dropped,
+}
+
+impl<E> EndpointTable<E> {
+    pub(crate) fn new() -> Self {
+        EndpointTable {
+            endpoints: RwLock::new(HashMap::new()),
+            messages: AtomicU64::new(0),
+            copied_bytes: AtomicU64::new(0),
+            shared_bytes: AtomicU64::new(0),
+            send_errors: AtomicU64::new(0),
+            tracker: OnceLock::new(),
+        }
+    }
+
+    /// Register `id` with an unbounded (`capacity: None`) or bounded
+    /// inbox; `entry` wraps the inbox sender into the transport's
+    /// endpoint state. An id that is still registered is rejected, so a
+    /// live inbox and whatever is queued for it are never orphaned.
+    pub(crate) fn register(
+        &self,
+        id: EndpointId,
+        capacity: Option<usize>,
+        entry: impl FnOnce(Sender<LiveMessage>) -> E,
+    ) -> Result<Receiver<LiveMessage>, RegisterError> {
+        let mut map = self.endpoints.write();
+        if map.contains_key(&id) {
+            return Err(RegisterError::AlreadyRegistered(id));
+        }
+        let (tx, rx) = match capacity {
+            Some(capacity) => bounded(capacity),
+            None => unbounded(),
+        };
+        map.insert(id, entry(tx));
+        Ok(rx)
+    }
+
+    /// Remove `id` and hand its state to `settle` under the registry's
+    /// write lock, so no send can slip a frame past the settle and a
+    /// re-registration of `id` waits until it is done.
+    pub(crate) fn deregister(&self, id: EndpointId, settle: impl FnOnce(E)) {
+        let mut map = self.endpoints.write();
+        if let Some(entry) = map.remove(&id) {
+            settle(entry);
+        }
+    }
+
+    /// The registered endpoints, read-locked.
+    pub(crate) fn endpoints(&self) -> RwLockReadGuard<'_, HashMap<EndpointId, E>> {
+        self.endpoints.read()
+    }
+
+    /// Run `post` against `to`'s endpoint under the registry's read
+    /// guard, so a concurrent deregistration either settles what `post`
+    /// queued or rejects the send. An unknown endpoint counts one send
+    /// error; `post` counts its own rejections through
+    /// [`EndpointTable::fail`].
+    pub(crate) fn post<R>(
+        &self,
+        to: EndpointId,
+        post: impl FnOnce(&E) -> Result<R, SendError>,
+    ) -> Result<R, SendError> {
+        match self.endpoints.read().get(&to) {
+            Some(entry) => post(entry),
+            None => Err(self.fail(SendError::UnknownEndpoint)),
+        }
+    }
+
+    /// Count one failed send and pass its error on.
+    pub(crate) fn fail(&self, e: SendError) -> SendError {
+        self.send_errors.fetch_add(1, Ordering::Relaxed);
+        e
+    }
+
+    /// The transport accepted a `bytes`-byte frame on `from → to`: it
+    /// occupies its link's queue until delivered or settled.
+    pub(crate) fn accept(&self, from: EndpointId, to: EndpointId, bytes: usize) {
+        if let Some(tracker) = self.tracker.get() {
+            tracker.on_send(from, to, bytes);
+        }
+    }
+
+    /// Hand an accepted frame to `to`'s inbox under the counting rule.
+    pub(crate) fn deliver(
+        &self,
+        inbox: &Sender<LiveMessage>,
+        to: EndpointId,
+        msg: LiveMessage,
+    ) -> Handoff {
+        let (from, len) = (msg.from, msg.payload.len());
+        let bytes = match msg.payload {
+            Payload::Copied(_) => &self.copied_bytes,
+            Payload::Shared(_) => &self.shared_bytes,
+        };
+        self.messages.fetch_add(1, Ordering::Relaxed);
+        bytes.fetch_add(len as u64, Ordering::Relaxed);
+        let err = match inbox.try_send(msg) {
+            Ok(()) => {
+                if let Some(tracker) = self.tracker.get() {
+                    tracker.on_delivered(from, to, len);
+                }
+                return Handoff::Delivered;
+            }
+            Err(err) => err,
+        };
+        self.messages.fetch_sub(1, Ordering::Relaxed);
+        bytes.fetch_sub(len as u64, Ordering::Relaxed);
+        match err {
+            TrySendError::Full(msg) => Handoff::Full(msg),
+            TrySendError::Disconnected(msg) => {
+                self.settle(to, [msg]);
+                Handoff::Dropped
+            }
+        }
+    }
+
+    /// Accept and deliver a frame in one step (synchronous delivery): a
+    /// full inbox fails the send instead of holding the frame.
+    pub(crate) fn deliver_now(
+        &self,
+        inbox: &Sender<LiveMessage>,
+        to: EndpointId,
+        msg: LiveMessage,
+    ) -> Result<(), SendError> {
+        self.accept(msg.from, to, msg.payload.len());
+        match self.deliver(inbox, to, msg) {
+            Handoff::Delivered => Ok(()),
+            Handoff::Full(msg) => {
+                self.settle(to, [msg]);
+                Err(SendError::Full)
+            }
+            Handoff::Dropped => Err(SendError::Disconnected),
+        }
+    }
+
+    /// Settle accepted frames for `to` that will never arrive (a dead
+    /// receiver, a deregistered destination): each counts one send error
+    /// and leaves its link's queue.
+    pub(crate) fn settle(&self, to: EndpointId, stranded: impl IntoIterator<Item = LiveMessage>) {
+        for msg in stranded {
+            self.send_errors.fetch_add(1, Ordering::Relaxed);
+            if let Some(tracker) = self.tracker.get() {
+                tracker.on_dropped(msg.from, to, msg.payload.len());
+            }
+        }
+    }
+
+    /// Attribute frames to physical links through `tracker` from now on;
+    /// the first tracker installed stays.
+    pub(crate) fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
+        let _ = self.tracker.set(tracker);
+    }
+
+    /// Messages delivered so far.
+    pub(crate) fn messages(&self) -> u64 {
+        self.messages.load(Ordering::Relaxed)
+    }
+
+    /// Bytes delivered through the copied (TCP) path so far.
+    pub(crate) fn copied_bytes(&self) -> u64 {
+        self.copied_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes delivered through the shared (RDMA) path so far.
+    pub(crate) fn shared_bytes(&self) -> u64 {
+        self.shared_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Failed sends so far.
+    pub(crate) fn send_errors(&self) -> u64 {
+        self.send_errors.load(Ordering::Relaxed)
+    }
+
+    /// Registered endpoint count.
+    pub(crate) fn len(&self) -> usize {
+        self.endpoints.read().len()
+    }
+
+    /// Export the shared counters (`messages`, `copied_bytes`,
+    /// `shared_bytes`, `send_errors`) and the `endpoints` gauge into
+    /// `reg` under `prefix.*`.
+    pub(crate) fn export_metrics(&self, reg: &mut whale_sim::MetricsRegistry, prefix: &str) {
+        reg.set_counter(&format!("{prefix}.messages"), self.messages());
+        reg.set_counter(&format!("{prefix}.copied_bytes"), self.copied_bytes());
+        reg.set_counter(&format!("{prefix}.shared_bytes"), self.shared_bytes());
+        reg.set_counter(&format!("{prefix}.send_errors"), self.send_errors());
+        reg.set_gauge(&format!("{prefix}.endpoints"), self.len() as f64);
+    }
 }
 
 /// An in-process message fabric connecting registered endpoints, with
-/// synchronous per-send delivery.
+/// synchronous per-send delivery: a send hands its frame straight to the
+/// destination inbox.
 pub struct LiveFabric {
-    endpoints: RwLock<HashMap<EndpointId, EndpointSlot>>,
-    /// Total bytes physically copied (TCP semantics accounting).
-    copied_bytes: AtomicU64,
-    /// Total bytes shared by reference (RDMA semantics accounting).
-    shared_bytes: AtomicU64,
-    messages: AtomicU64,
-    send_errors: AtomicU64,
-    /// Optional per-link attribution; delivery is synchronous here, so a
-    /// successful send is charged to its link immediately.
-    tracker: RwLock<Option<Arc<LinkTracker>>>,
+    table: EndpointTable<Sender<LiveMessage>>,
 }
 
 impl Default for LiveFabric {
@@ -215,179 +452,14 @@ impl LiveFabric {
     /// New fabric with no endpoints.
     pub fn new() -> Self {
         LiveFabric {
-            endpoints: RwLock::new(HashMap::new()),
-            copied_bytes: AtomicU64::new(0),
-            shared_bytes: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            send_errors: AtomicU64::new(0),
-            tracker: RwLock::new(None),
+            table: EndpointTable::new(),
         }
-    }
-
-    /// Attribute subsequent sends to physical links through `tracker`.
-    pub fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        *self.tracker.write() = Some(tracker);
-    }
-
-    /// Register an endpoint with an unbounded inbox; returns its receiver.
-    pub fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = unbounded();
-        self.install(id, tx)?;
-        Ok(rx)
-    }
-
-    /// Register an endpoint with a bounded inbox of `capacity` (models the
-    /// destination's transfer queue; sends fail with [`SendError::Full`]).
-    pub fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = bounded(capacity);
-        self.install(id, tx)?;
-        Ok(rx)
-    }
-
-    fn install(&self, id: EndpointId, tx: Sender<LiveMessage>) -> Result<(), RegisterError> {
-        let mut map = self.endpoints.write();
-        if map.contains_key(&id) {
-            return Err(RegisterError::AlreadyRegistered(id));
-        }
-        map.insert(id, EndpointSlot { tx });
-        Ok(())
-    }
-
-    /// Remove an endpoint; subsequent sends fail.
-    pub fn deregister(&self, id: EndpointId) {
-        self.endpoints.write().remove(&id);
-    }
-
-    fn send(&self, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        let from = msg.from;
-        let len = msg.payload.len();
-        let result = {
-            let map = self.endpoints.read();
-            match map.get(&to) {
-                None => Err(SendError::UnknownEndpoint),
-                Some(slot) => match slot.tx.try_send(msg) {
-                    Ok(()) => Ok(()),
-                    Err(TrySendError::Full(_)) => Err(SendError::Full),
-                    Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
-                },
-            }
-        };
-        match result {
-            Ok(()) => {
-                self.messages.fetch_add(1, Ordering::Relaxed);
-                if let Some(tracker) = self.tracker.read().as_ref() {
-                    // Synchronous delivery: the frame is in the
-                    // destination inbox, so charge the link directly.
-                    tracker.on_send(from, to, len);
-                    tracker.on_delivered(from, to, len);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.send_errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    /// TCP-semantics send: the bytes are copied into the message. Bytes
-    /// count toward `copied_bytes` only when delivery succeeds.
-    pub fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        let len = bytes.len() as u64;
-        self.send(
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Copied(bytes.to_vec()),
-            },
-        )?;
-        self.copied_bytes.fetch_add(len, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// RDMA-semantics send: the shared buffer is passed by reference.
-    /// Bytes count toward `shared_bytes` only when delivery succeeds.
-    pub fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        let len = buf.len() as u64;
-        self.send(
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Shared(buf),
-            },
-        )?;
-        self.shared_bytes.fetch_add(len, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Bytes copied through the TCP path so far.
-    pub fn copied_bytes(&self) -> u64 {
-        self.copied_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes shared through the RDMA path so far.
-    pub fn shared_bytes(&self) -> u64 {
-        self.shared_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Messages delivered so far.
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Sends that failed so far.
-    pub fn send_errors(&self) -> u64 {
-        self.send_errors.load(Ordering::Relaxed)
-    }
-
-    /// Export delivery counters into `reg` under `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut whale_sim::MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.messages"), self.messages());
-        reg.set_counter(&format!("{prefix}.copied_bytes"), self.copied_bytes());
-        reg.set_counter(&format!("{prefix}.shared_bytes"), self.shared_bytes());
-        reg.set_counter(&format!("{prefix}.send_errors"), self.send_errors());
-        reg.set_gauge(
-            &format!("{prefix}.endpoints"),
-            self.endpoints.read().len() as f64,
-        );
-        reg.set_gauge(&format!("{prefix}.queue_depth"), self.queue_depth() as f64);
-    }
-
-    /// Registered endpoint count.
-    pub fn endpoint_count(&self) -> usize {
-        self.endpoints.read().len()
-    }
-
-    /// Messages accepted into endpoint inboxes but not yet received by
-    /// their workers. The per-send path delivers synchronously into the
-    /// destination channel, so the channel lengths *are* the transfer
-    /// queue the adaptive controller samples.
-    pub fn queue_depth(&self) -> u64 {
-        self.endpoints
-            .read()
-            .values()
-            .map(|slot| slot.tx.len() as u64)
-            .sum()
     }
 }
 
 impl FabricPath for LiveFabric {
     fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        LiveFabric::register(self, id)
+        self.table.register(id, None, identity)
     }
 
     fn register_bounded(
@@ -395,63 +467,60 @@ impl FabricPath for LiveFabric {
         id: EndpointId,
         capacity: usize,
     ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        LiveFabric::register_bounded(self, id, capacity)
+        self.table.register(id, Some(capacity), identity)
     }
 
     fn deregister(&self, id: EndpointId) {
-        LiveFabric::deregister(self, id);
+        self.table.deregister(id, drop);
     }
 
-    fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        LiveFabric::send_copied(self, from, to, bytes)
-    }
-
-    fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        LiveFabric::send_shared(self, from, to, buf)
+    fn send(&self, from: EndpointId, to: EndpointId, payload: Payload) -> Result<(), SendError> {
+        let msg = LiveMessage { from, payload };
+        self.table
+            .post(to, |inbox| self.table.deliver_now(inbox, to, msg))
     }
 
     fn flush(&self) {}
 
     fn messages(&self) -> u64 {
-        LiveFabric::messages(self)
+        self.table.messages()
     }
 
     fn copied_bytes(&self) -> u64 {
-        LiveFabric::copied_bytes(self)
+        self.table.copied_bytes()
     }
 
     fn shared_bytes(&self) -> u64 {
-        LiveFabric::shared_bytes(self)
+        self.table.shared_bytes()
     }
 
     fn send_errors(&self) -> u64 {
-        LiveFabric::send_errors(self)
+        self.table.send_errors()
     }
 
+    /// Messages accepted into endpoint inboxes but not yet received by
+    /// their workers. The per-send path delivers synchronously into the
+    /// destination channel, so the channel lengths *are* the transfer
+    /// queue the adaptive controller samples.
     fn queue_depth(&self) -> u64 {
-        LiveFabric::queue_depth(self)
+        self.table
+            .endpoints()
+            .values()
+            .map(|tx| tx.len() as u64)
+            .sum()
     }
 
     fn endpoint_count(&self) -> usize {
-        LiveFabric::endpoint_count(self)
+        self.table.len()
     }
 
     fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        LiveFabric::install_link_tracker(self, tracker);
+        self.table.install_link_tracker(tracker);
     }
 
     fn export_metrics(&self, reg: &mut whale_sim::MetricsRegistry, prefix: &str) {
-        LiveFabric::export_metrics(self, reg, prefix);
+        self.table.export_metrics(reg, prefix);
+        reg.set_gauge(&format!("{prefix}.queue_depth"), self.queue_depth() as f64);
     }
 }
 

@@ -344,13 +344,6 @@ impl FaultFabric {
         self.parked_split().1
     }
 
-    fn deliver(&self, from: EndpointId, to: EndpointId, payload: &Payload) -> Result<(), SendError> {
-        match payload {
-            Payload::Copied(bytes) => self.inner.send_copied(from, to, bytes),
-            Payload::Shared(buf) => self.inner.send_shared(from, to, Arc::clone(buf)),
-        }
-    }
-
     /// Release every parked frame on `state` whose release point has
     /// passed. Delivery failures of parked frames are absorbed (the
     /// original send already reported `Ok`).
@@ -361,8 +354,34 @@ impl FaultFabric {
             .is_some_and(|p| p.release_at <= now)
         {
             let p = state.parked.pop_front().expect("checked front");
-            let _ = self.deliver(p.from, to, &p.payload);
+            let _ = self.inner.send(p.from, to, p.payload);
         }
+    }
+
+    /// Release every parked frame regardless of its release point.
+    fn release_all(&self) {
+        let mut links = self.links.lock().unwrap_or_else(PoisonError::into_inner);
+        for ((_, to), state) in links.iter_mut() {
+            self.release_due(*to, state, u64::MAX);
+        }
+    }
+}
+
+impl FabricPath for FaultFabric {
+    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
+        self.inner.register(id)
+    }
+
+    fn register_bounded(
+        &self,
+        id: EndpointId,
+        capacity: usize,
+    ) -> Result<Receiver<LiveMessage>, RegisterError> {
+        self.inner.register_bounded(id, capacity)
+    }
+
+    fn deregister(&self, id: EndpointId) {
+        self.inner.deregister(id);
     }
 
     fn send(&self, from: EndpointId, to: EndpointId, payload: Payload) -> Result<(), SendError> {
@@ -460,58 +479,15 @@ impl FaultFabric {
             return Ok(());
         }
 
-        let result = self.deliver(from, to, &payload);
-        if copies > 1 {
-            // The duplicate is best-effort, like a parked release: the
-            // first copy already decided this send's outcome, and the
-            // receiver may legitimately vanish between the two copies.
-            let _ = self.deliver(from, to, &payload);
+        if !duplicate {
+            return self.inner.send(from, to, payload);
         }
+        let result = self.inner.send(from, to, payload.clone());
+        // The duplicate is best-effort, like a parked release: the first
+        // copy already decided this send's outcome, and the receiver may
+        // legitimately vanish between the two copies.
+        let _ = self.inner.send(from, to, payload);
         result
-    }
-
-    /// Release every parked frame regardless of its release point.
-    fn release_all(&self) {
-        let mut links = self.links.lock().unwrap_or_else(PoisonError::into_inner);
-        for ((_, to), state) in links.iter_mut() {
-            self.release_due(*to, state, u64::MAX);
-        }
-    }
-}
-
-impl FabricPath for FaultFabric {
-    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        self.inner.register(id)
-    }
-
-    fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        self.inner.register_bounded(id, capacity)
-    }
-
-    fn deregister(&self, id: EndpointId) {
-        self.inner.deregister(id);
-    }
-
-    fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        self.send(from, to, Payload::Copied(bytes.to_vec()))
-    }
-
-    fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        self.send(from, to, Payload::Shared(buf))
     }
 
     fn flush(&self) {

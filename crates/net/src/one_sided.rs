@@ -20,28 +20,29 @@
 //! - a publish into a full outbox ring fails with [`SendError::Full`] —
 //!   the bounded transfer queue of the M/D/1 model, surfaced as
 //!   backpressure the `SendPolicy` retries;
-//! - only bytes that actually reach an inbox count toward the byte
-//!   totals; failed publishes and dead destinations increment
-//!   `send_errors`;
+//! - delivery counting, link attribution and the settling of frames
+//!   stranded by a deregistration belong to the endpoint table every
+//!   transport shares (see [`crate::fabric`]): a publish charges its
+//!   link, and a frame counts once the fetcher hands it to the inbox;
 //! - per-link FIFO order holds end to end: the ring is consumed strictly
 //!   in sequence order, and a frame the (bounded) inbox cannot yet accept
 //!   stays staged at the front of its link.
 
 use crate::fabric::{
-    EndpointId, FabricPath, LiveMessage, Payload, RegisterError, SendError,
+    EndpointId, EndpointTable, FabricPath, Handoff, LiveMessage, Payload, RegisterError, SendError,
 };
 use crate::log::{LogConfig, PartitionLog};
 use crate::memory::{MemoryRegistry, RingRegion};
-use crate::ring_fabric::Doorbell;
+use crate::ring_fabric::{Doorbell, IDLE_HEARTBEAT, STALL_BACKOFF};
 use crate::topology::{LinkTracker, MachineId};
 use crate::verbs::{QpId, QueuePair, WorkRequest, WrId};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::convert::identity;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 use whale_sim::{CostModel, MetricsRegistry, Transport, Verb};
 
 /// Configuration of the one-sided (remote-fetch) transport.
@@ -56,12 +57,6 @@ pub struct OneSidedConfig {
     pub slot_bytes: usize,
     /// Rack distance assumed for the modeled READ round trip.
     pub rack_hops: u32,
-    /// Idle heartbeat of the fetcher: the longest a lost doorbell wakeup
-    /// can stall a fully idle fabric.
-    pub idle_heartbeat: Duration,
-    /// Backoff while a bounded inbox stays full and a fetch pass makes no
-    /// delivery progress.
-    pub stall_backoff: Duration,
     /// When set, every publish also writes through a per-link
     /// [`PartitionLog`] before the frame reaches the outbox ring, making
     /// published history re-readable via [`OneSidedFabric::backfill`]
@@ -75,8 +70,6 @@ impl Default for OneSidedConfig {
             ring_slots: 16 * 1024,
             slot_bytes: 2 * 1024,
             rack_hops: 0,
-            idle_heartbeat: Duration::from_millis(5),
-            stall_backoff: Duration::from_micros(100),
             log: None,
         }
     }
@@ -110,7 +103,8 @@ type LinkHandle = Arc<Mutex<LinkOutbox>>;
 pub struct OneSidedFabric {
     config: OneSidedConfig,
     cost: CostModel,
-    inboxes: RwLock<HashMap<EndpointId, Sender<LiveMessage>>>,
+    /// Destination inboxes, counters and link attribution.
+    table: EndpointTable<Sender<LiveMessage>>,
     /// Keyed (destination, sender) so fetch passes group a destination's
     /// links together in the deterministic iteration order.
     links: RwLock<HashMap<LinkKey, LinkHandle>>,
@@ -119,10 +113,6 @@ pub struct OneSidedFabric {
     registry: Mutex<MemoryRegistry>,
     doorbell: Doorbell,
     next_qp: AtomicU64,
-    copied_bytes: AtomicU64,
-    shared_bytes: AtomicU64,
-    messages: AtomicU64,
-    send_errors: AtomicU64,
     /// Frames published into outbox rings.
     posted: AtomicU64,
     /// Modeled `RDMA READ`s posted by the fetch side.
@@ -135,9 +125,6 @@ pub struct OneSidedFabric {
     /// Modeled wire occupancy plus the READ's request/response round trip.
     fetch_wire_ns: AtomicU64,
     stopping: AtomicBool,
-    /// Optional per-link attribution: publishes raise a link's queue
-    /// gauge, fetches settle it and count the bytes.
-    tracker: RwLock<Option<Arc<LinkTracker>>>,
 }
 
 impl Default for OneSidedFabric {
@@ -155,15 +142,11 @@ impl OneSidedFabric {
         OneSidedFabric {
             config,
             cost: CostModel::default(),
-            inboxes: RwLock::new(HashMap::new()),
+            table: EndpointTable::new(),
             links: RwLock::new(HashMap::new()),
             registry: Mutex::new(MemoryRegistry::new()),
             doorbell: Doorbell::new(),
             next_qp: AtomicU64::new(0),
-            copied_bytes: AtomicU64::new(0),
-            shared_bytes: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            send_errors: AtomicU64::new(0),
             posted: AtomicU64::new(0),
             reads_posted: AtomicU64::new(0),
             read_bytes: AtomicU64::new(0),
@@ -171,78 +154,12 @@ impl OneSidedFabric {
             fetch_cpu_ns: AtomicU64::new(0),
             fetch_wire_ns: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
-            tracker: RwLock::new(None),
         }
-    }
-
-    /// Attribute subsequent publishes and fetches to physical links
-    /// through `tracker`.
-    pub fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        *self.tracker.write() = Some(tracker);
     }
 
     /// The active configuration.
     pub fn config(&self) -> OneSidedConfig {
         self.config
-    }
-
-    fn install(&self, id: EndpointId, tx: Sender<LiveMessage>) -> Result<(), RegisterError> {
-        let mut map = self.inboxes.write();
-        if map.contains_key(&id) {
-            return Err(RegisterError::AlreadyRegistered(id));
-        }
-        map.insert(id, tx);
-        Ok(())
-    }
-
-    /// Register an endpoint with an unbounded inbox; returns its receiver.
-    pub fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = unbounded();
-        self.install(id, tx)?;
-        Ok(rx)
-    }
-
-    /// Register an endpoint whose inbox holds at most `capacity` fetched
-    /// frames; full inboxes leave frames in the outbox ring (backpressure)
-    /// rather than dropping them.
-    pub fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = bounded(capacity);
-        self.install(id, tx)?;
-        Ok(rx)
-    }
-
-    /// Remove an endpoint: subsequent sends fail, its outbox rings are
-    /// deregistered, and unfetched frames addressed to it are dropped,
-    /// each counted as a send error and released from its link's queue
-    /// gauge.
-    pub fn deregister(&self, id: EndpointId) {
-        self.inboxes.write().remove(&id);
-        let mut links = self.links.write();
-        let dead: Vec<(EndpointId, EndpointId)> = links
-            .keys()
-            .filter(|(to, _)| *to == id)
-            .copied()
-            .collect();
-        let mut registry = self.registry.lock();
-        let tracker = self.tracker.read();
-        for key in dead {
-            if let Some(slot) = links.remove(&key) {
-                let mut link = slot.lock();
-                let staged = link.staged.take();
-                let published = std::iter::from_fn(|| link.ring.consume().map(|(_, msg)| msg));
-                for msg in staged.into_iter().chain(published) {
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tracker) = tracker.as_ref() {
-                        tracker.on_dropped(msg.from, id, msg.payload.len());
-                    }
-                }
-                registry.deregister(link.ring.region());
-            }
-        }
     }
 
     /// The outbox ring for `from → to`, registered lazily on first use so
@@ -281,38 +198,6 @@ impl OneSidedFabric {
         }))
     }
 
-    /// Publish a frame into the `from → to` outbox and ring the doorbell.
-    fn post(&self, from: EndpointId, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        if !self.inboxes.read().contains_key(&to) {
-            self.send_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(SendError::UnknownEndpoint);
-        }
-        let slot = self.link(from, to);
-        let published_bytes = msg.payload.len();
-        {
-            let mut link = slot.lock();
-            // Write-through: the durable copy is taken as part of the
-            // publish, so every frame the ring ever held is in the log.
-            let logged = link.log.is_some().then(|| msg.payload.bytes().to_vec());
-            if link.ring.produce(msg).is_err() {
-                drop(link);
-                self.send_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(SendError::Full);
-            }
-            if let (Some(log), Some(bytes)) = (link.log.as_mut(), logged) {
-                log.append(&bytes);
-            }
-        }
-        if let Some(tracker) = self.tracker.read().as_ref() {
-            // Published into the outbox: the frame occupies its link's
-            // queue until the fetcher pulls it across.
-            tracker.on_send(from, to, published_bytes);
-        }
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        self.doorbell.ring();
-        Ok(())
-    }
-
     /// Late-subscriber backfill: replay the `from → to` link's logged
     /// history starting at sequence `seq` into `reader`'s inbox, as
     /// modeled one-sided READs against the sender's log — the sender's
@@ -327,7 +212,7 @@ impl OneSidedFabric {
         reader: EndpointId,
         seq: u64,
     ) -> Result<u64, SendError> {
-        let Some(tx) = self.inboxes.read().get(&reader).cloned() else {
+        let Some(inbox) = self.table.endpoints().get(&reader).cloned() else {
             return Err(SendError::UnknownEndpoint);
         };
         let Some(slot) = self.links.read().get(&(to, from)).map(Arc::clone) else {
@@ -341,32 +226,13 @@ impl OneSidedFabric {
         drop(link);
         let mut delivered = 0;
         for (_seq, bytes) in read.records {
-            let len = bytes.len() as u64;
             let msg = LiveMessage {
                 from,
                 payload: Payload::Copied(bytes),
             };
-            match tx.try_send(msg) {
-                Ok(()) => {
-                    self.messages.fetch_add(1, Ordering::Relaxed);
-                    self.copied_bytes.fetch_add(len, Ordering::Relaxed);
-                    if let Some(tracker) = self.tracker.read().as_ref() {
-                        // Backfill READs land synchronously in the
-                        // reader's inbox.
-                        tracker.on_send(from, reader, len as usize);
-                        tracker.on_delivered(from, reader, len as usize);
-                    }
-                    delivered += 1;
-                }
-                Err(TrySendError::Full(_)) => {
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(SendError::Full);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(SendError::Disconnected);
-                }
-            }
+            // Backfill READs land synchronously in the reader's inbox.
+            self.table.deliver_now(&inbox, reader, msg)?;
+            delivered += 1;
         }
         Ok(delivered)
     }
@@ -411,42 +277,6 @@ impl OneSidedFabric {
         self.fold_logs(|l| l.retained_bytes())
     }
 
-    /// TCP-semantics publish: the bytes are copied into the outbox slot,
-    /// counted on delivery.
-    pub fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        self.post(
-            from,
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Copied(bytes.to_vec()),
-            },
-        )
-    }
-
-    /// RDMA-semantics publish: the shared buffer rides the slot by
-    /// reference (one serialization, n slot pointers), counted on delivery.
-    pub fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        self.post(
-            from,
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Shared(buf),
-            },
-        )
-    }
-
     /// Snapshot links in (destination, sender) order so fetch passes are
     /// deterministic.
     fn link_snapshot(&self) -> Vec<(EndpointId, LinkHandle)> {
@@ -465,7 +295,12 @@ impl OneSidedFabric {
     pub fn fetch_all(&self) -> u64 {
         let mut delivered = 0;
         for (to, slot) in self.link_snapshot() {
-            let tx = self.inboxes.read().get(&to).cloned();
+            // A deregistration settles every frame published to its
+            // endpoint under the registry lock, so a link whose
+            // destination is gone has nothing left to fetch.
+            let Some(inbox) = self.table.endpoints().get(&to).cloned() else {
+                continue;
+            };
             let mut link = slot.lock();
             loop {
                 if link.staged.is_none() {
@@ -498,61 +333,18 @@ impl OneSidedFabric {
                     debug_assert_eq!(addr.seq, seq);
                     link.staged = Some(msg);
                 }
-                let Some(tx) = tx.as_ref() else {
-                    // Destination deregistered with frames still published.
-                    if let Some(dead) = link.staged.take() {
-                        if let Some(tracker) = self.tracker.read().as_ref() {
-                            tracker.on_dropped(dead.from, to, dead.payload.len());
-                        }
-                    }
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
                 let msg = link.staged.take().expect("staged frame");
-                let len = msg.payload.len() as u64;
-                let from = msg.from;
-                let bytes_ctr = if matches!(msg.payload, Payload::Shared(_)) {
-                    &self.shared_bytes
-                } else {
-                    &self.copied_bytes
-                };
-                // Count before the hand-off (same rule as the ring
-                // transport); failed hand-offs undo the increment.
-                self.messages.fetch_add(1, Ordering::Relaxed);
-                bytes_ctr.fetch_add(len, Ordering::Relaxed);
-                match tx.try_send(msg) {
-                    Ok(()) => {
-                        delivered += 1;
-                        if let Some(tracker) = self.tracker.read().as_ref() {
-                            tracker.on_delivered(from, to, len as usize);
-                        }
-                    }
-                    Err(TrySendError::Full(msg)) => {
-                        self.messages.fetch_sub(1, Ordering::Relaxed);
-                        bytes_ctr.fetch_sub(len, Ordering::Relaxed);
+                match self.table.deliver(&inbox, to, msg) {
+                    Handoff::Delivered => delivered += 1,
+                    Handoff::Full(msg) => {
                         link.staged = Some(msg);
                         break;
                     }
-                    Err(TrySendError::Disconnected(_)) => {
-                        self.messages.fetch_sub(1, Ordering::Relaxed);
-                        bytes_ctr.fetch_sub(len, Ordering::Relaxed);
-                        self.send_errors.fetch_add(1, Ordering::Relaxed);
-                        if let Some(tracker) = self.tracker.read().as_ref() {
-                            tracker.on_dropped(from, to, len as usize);
-                        }
-                    }
+                    Handoff::Dropped => {}
                 }
             }
         }
         delivered
-    }
-
-    /// Frames published but not yet fetched into an inbox — real ring
-    /// occupancy across every link, the λ-pressure signal the adaptive
-    /// controller samples.
-    pub fn queue_depth(&self) -> u64 {
-        let map = self.links.read();
-        map.values().map(|slot| slot.lock().pending() as u64).sum()
     }
 
     /// Frames published into outbox rings so far.
@@ -570,44 +362,118 @@ impl OneSidedFabric {
         self.read_bytes.load(Ordering::Relaxed)
     }
 
-    /// Messages delivered so far.
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Bytes delivered through the copied (TCP) path so far.
-    pub fn copied_bytes(&self) -> u64 {
-        self.copied_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes delivered through the shared (RDMA) path so far.
-    pub fn shared_bytes(&self) -> u64 {
-        self.shared_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Failed publishes plus dead-destination drops so far.
-    pub fn send_errors(&self) -> u64 {
-        self.send_errors.load(Ordering::Relaxed)
-    }
-
-    /// Registered endpoint count.
-    pub fn endpoint_count(&self) -> usize {
-        self.inboxes.read().len()
-    }
-
     /// Live (sender, destination) link count.
     pub fn link_count(&self) -> usize {
         self.links.read().len()
     }
+}
 
-    /// Export delivery, fetch, and registration counters into `reg` under
-    /// `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
+impl FabricPath for OneSidedFabric {
+    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
+        self.table.register(id, None, identity)
+    }
+
+    /// Full bounded inboxes leave frames in the outbox ring
+    /// (backpressure) rather than dropping them.
+    fn register_bounded(
+        &self,
+        id: EndpointId,
+        capacity: usize,
+    ) -> Result<Receiver<LiveMessage>, RegisterError> {
+        self.table.register(id, Some(capacity), identity)
+    }
+
+    /// The endpoint's outbox rings are deregistered (refunding their
+    /// registrations) and unfetched frames addressed to it are settled
+    /// as send errors.
+    fn deregister(&self, id: EndpointId) {
+        self.table.deregister(id, |_inbox| {
+            let mut links = self.links.write();
+            let mut registry = self.registry.lock();
+            links.retain(|&(to, _), slot| {
+                if to != id {
+                    return true;
+                }
+                let mut link = slot.lock();
+                let staged = link.staged.take();
+                let published = std::iter::from_fn(|| link.ring.consume().map(|(_, msg)| msg));
+                self.table.settle(id, staged.into_iter().chain(published));
+                registry.deregister(link.ring.region());
+                false
+            });
+        });
+    }
+
+    /// Publish a frame into the `from → to` outbox (a copied payload
+    /// paid its copy per destination already; a shared one rides the
+    /// slot by reference) and ring the doorbell. Counted on delivery.
+    fn send(&self, from: EndpointId, to: EndpointId, payload: Payload) -> Result<(), SendError> {
+        let bytes = payload.len();
+        // Registration is checked under the same guard as the publish, so
+        // a concurrent deregistration either settles this frame and
+        // refunds its link or rejects the publish.
+        self.table.post(to, |_inbox| {
+            let slot = self.link(from, to);
+            let mut link = slot.lock();
+            // Write-through: the durable copy is taken as part of the
+            // publish, so every frame the ring ever held is in the log.
+            let logged = link.log.is_some().then(|| payload.bytes().to_vec());
+            if link.ring.produce(LiveMessage { from, payload }).is_err() {
+                return Err(self.table.fail(SendError::Full));
+            }
+            if let (Some(log), Some(bytes)) = (link.log.as_mut(), logged) {
+                log.append(&bytes);
+            }
+            // Published into the outbox: the frame occupies its link's
+            // queue until the fetcher pulls it across.
+            self.table.accept(from, to, bytes);
+            Ok(())
+        })?;
+        self.posted.fetch_add(1, Ordering::Relaxed);
+        self.doorbell.ring();
+        Ok(())
+    }
+
+    fn flush(&self) {
+        self.fetch_all();
+    }
+
+    fn messages(&self) -> u64 {
+        self.table.messages()
+    }
+
+    fn copied_bytes(&self) -> u64 {
+        self.table.copied_bytes()
+    }
+
+    fn shared_bytes(&self) -> u64 {
+        self.table.shared_bytes()
+    }
+
+    fn send_errors(&self) -> u64 {
+        self.table.send_errors()
+    }
+
+    /// Frames published but not yet fetched into an inbox — real ring
+    /// occupancy across every link, the λ-pressure signal the adaptive
+    /// controller samples.
+    fn queue_depth(&self) -> u64 {
+        let map = self.links.read();
+        map.values().map(|slot| slot.lock().pending() as u64).sum()
+    }
+
+    fn endpoint_count(&self) -> usize {
+        self.table.len()
+    }
+
+    fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
+        self.table.install_link_tracker(tracker);
+    }
+
+    /// Delivery, fetch, and registration counters.
+    fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
+        self.table.export_metrics(reg, prefix);
         reg.set_counter(&format!("{prefix}.posted"), self.posted());
-        reg.set_counter(&format!("{prefix}.messages"), self.messages());
-        reg.set_counter(&format!("{prefix}.copied_bytes"), self.copied_bytes());
-        reg.set_counter(&format!("{prefix}.shared_bytes"), self.shared_bytes());
-        reg.set_counter(&format!("{prefix}.send_errors"), self.send_errors());
         reg.set_counter(&format!("{prefix}.reads_posted"), self.reads_posted());
         reg.set_counter(&format!("{prefix}.read_bytes"), self.read_bytes());
         reg.set_counter(
@@ -622,7 +488,6 @@ impl OneSidedFabric {
             &format!("{prefix}.fetch_wire_ns"),
             self.fetch_wire_ns.load(Ordering::Relaxed),
         );
-        reg.set_gauge(&format!("{prefix}.endpoints"), self.endpoint_count() as f64);
         reg.set_gauge(&format!("{prefix}.links"), self.link_count() as f64);
         reg.set_gauge(&format!("{prefix}.queue_depth"), self.queue_depth() as f64);
         if self.config.log.is_some() {
@@ -643,78 +508,6 @@ impl OneSidedFabric {
             );
         }
         self.registry.lock().export_metrics(reg, prefix);
-    }
-}
-
-impl FabricPath for OneSidedFabric {
-    fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        OneSidedFabric::register(self, id)
-    }
-
-    fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        OneSidedFabric::register_bounded(self, id, capacity)
-    }
-
-    fn deregister(&self, id: EndpointId) {
-        OneSidedFabric::deregister(self, id);
-    }
-
-    fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        OneSidedFabric::send_copied(self, from, to, bytes)
-    }
-
-    fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        OneSidedFabric::send_shared(self, from, to, buf)
-    }
-
-    fn flush(&self) {
-        self.fetch_all();
-    }
-
-    fn messages(&self) -> u64 {
-        OneSidedFabric::messages(self)
-    }
-
-    fn copied_bytes(&self) -> u64 {
-        OneSidedFabric::copied_bytes(self)
-    }
-
-    fn shared_bytes(&self) -> u64 {
-        OneSidedFabric::shared_bytes(self)
-    }
-
-    fn send_errors(&self) -> u64 {
-        OneSidedFabric::send_errors(self)
-    }
-
-    fn queue_depth(&self) -> u64 {
-        OneSidedFabric::queue_depth(self)
-    }
-
-    fn endpoint_count(&self) -> usize {
-        OneSidedFabric::endpoint_count(self)
-    }
-
-    fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        OneSidedFabric::install_link_tracker(self, tracker);
-    }
-
-    fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        OneSidedFabric::export_metrics(self, reg, prefix);
     }
 }
 
@@ -762,8 +555,6 @@ pub fn spawn_fetcher(fabric: Arc<OneSidedFabric>) -> OneSidedFetcher {
 }
 
 fn fetcher_loop(fabric: &OneSidedFabric) {
-    let idle = fabric.config.idle_heartbeat;
-    let stalled = fabric.config.stall_backoff;
     loop {
         let delivered = fabric.fetch_all();
         if fabric.stopping.load(Ordering::SeqCst) {
@@ -772,13 +563,13 @@ fn fetcher_loop(fabric: &OneSidedFabric) {
         }
         let wait = if fabric.queue_depth() > 0 {
             if delivered == 0 {
-                stalled
+                STALL_BACKOFF
             } else {
                 // More frames are already published; fetch again now.
                 continue;
             }
         } else {
-            idle
+            IDLE_HEARTBEAT
         };
         fabric.doorbell.wait(wait);
     }
@@ -787,6 +578,7 @@ fn fetcher_loop(fabric: &OneSidedFabric) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn cfg(ring_slots: usize) -> OneSidedConfig {
         OneSidedConfig {

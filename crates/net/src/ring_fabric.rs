@@ -27,18 +27,20 @@
 //! already sleeps towards, so the flusher wakes per batch, not per
 //! descriptor, and drains everything that accumulated in one pass.
 //!
-//! Byte counters follow the same rule as [`LiveFabric`]: only bytes that
-//! actually reach an inbox count; failed posts and failed deliveries
-//! increment `send_errors`.
+//! Delivery counting, link attribution and the settling of frames
+//! stranded by a deregistration belong to the endpoint table every
+//! transport shares (see [`crate::fabric`]): a post charges its link, and
+//! a frame counts once the flusher hands it to the inbox.
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::fabric::{
-    EndpointId, FabricPath, LiveFabric, LiveMessage, Payload, RegisterError, SendError,
+    EndpointId, EndpointTable, FabricPath, Handoff, LiveFabric, LiveMessage, Payload,
+    RegisterError, SendError,
 };
 use crate::topology::LinkTracker;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
@@ -60,16 +62,17 @@ pub struct RingConfig {
     /// Deterministic [`RingFabric::pump`]/[`RingFabric::flush_at`] ignore
     /// sharding and stay single-threaded. `0` is treated as `1`.
     pub flusher_shards: usize,
-    /// Idle heartbeat of each flusher shard: how long a shard with no WTL
-    /// deadline pending sleeps before it re-checks its rings unprompted.
-    /// Posts wake the shard themselves (idle → busy, or MMS reached), so
-    /// this only bounds how long a lost doorbell wakeup could stall a
-    /// fully idle fabric.
-    pub idle_heartbeat: Duration,
-    /// Backoff while a bounded inbox stays full and a flusher pass makes
-    /// no delivery progress.
-    pub stall_backoff: Duration,
 }
+
+/// Idle heartbeat of a flusher shard or the fetcher: how long a drain
+/// worker with nothing due sleeps before it re-checks unprompted. Posts
+/// wake it themselves, so this only bounds how long a lost doorbell
+/// wakeup could stall a fully idle fabric.
+pub(crate) const IDLE_HEARTBEAT: Duration = Duration::from_millis(5);
+
+/// Backoff of a drain worker while a bounded inbox stays full and a pass
+/// makes no delivery progress.
+pub(crate) const STALL_BACKOFF: Duration = Duration::from_micros(100);
 
 impl Default for RingConfig {
     fn default() -> Self {
@@ -77,8 +80,6 @@ impl Default for RingConfig {
             ring_capacity: 64 * 1024,
             batch: BatchConfig::default(),
             flusher_shards: 1,
-            idle_heartbeat: Duration::from_millis(5),
-            stall_backoff: Duration::from_micros(100),
         }
     }
 }
@@ -167,14 +168,10 @@ impl Doorbell {
 /// The batched ring-buffer transport. See the module docs for semantics.
 pub struct RingFabric {
     config: RingConfig,
-    endpoints: RwLock<HashMap<EndpointId, Arc<Mutex<EndpointRing>>>>,
+    table: EndpointTable<Arc<Mutex<EndpointRing>>>,
     /// One doorbell per flusher shard; posts ring only their endpoint's
     /// shard so drain workers never wake for another shard's traffic.
     doorbells: Vec<Doorbell>,
-    copied_bytes: AtomicU64,
-    shared_bytes: AtomicU64,
-    messages: AtomicU64,
-    send_errors: AtomicU64,
     /// Descriptors accepted into rings.
     posted: AtomicU64,
     flushed_batches: AtomicU64,
@@ -182,9 +179,6 @@ pub struct RingFabric {
     /// Live-mode clock origin for mapping wall time onto [`SimTime`].
     epoch: Instant,
     stopping: AtomicBool,
-    /// Optional per-link attribution: posts raise a link's queue gauge,
-    /// deliveries settle it and count the bytes.
-    tracker: RwLock<Option<Arc<LinkTracker>>>,
 }
 
 impl Default for RingFabric {
@@ -201,25 +195,14 @@ impl RingFabric {
         assert!(config.ring_capacity > 0, "ring capacity must be positive");
         RingFabric {
             config,
-            endpoints: RwLock::new(HashMap::new()),
+            table: EndpointTable::new(),
             doorbells: (0..config.shard_count()).map(|_| Doorbell::new()).collect(),
-            copied_bytes: AtomicU64::new(0),
-            shared_bytes: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
-            send_errors: AtomicU64::new(0),
             posted: AtomicU64::new(0),
             flushed_batches: AtomicU64::new(0),
             flushed_items: AtomicU64::new(0),
             epoch: Instant::now(),
             stopping: AtomicBool::new(false),
-            tracker: RwLock::new(None),
         }
-    }
-
-    /// Attribute subsequent posts and deliveries to physical links
-    /// through `tracker`.
-    pub fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        *self.tracker.write() = Some(tracker);
     }
 
     /// The active configuration.
@@ -233,147 +216,23 @@ impl RingFabric {
         SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn install(&self, id: EndpointId, tx: Sender<LiveMessage>) -> Result<(), RegisterError> {
-        let mut map = self.endpoints.write();
-        if map.contains_key(&id) {
-            return Err(RegisterError::AlreadyRegistered(id));
-        }
-        map.insert(
+    /// A fresh, empty ring draining into `tx`.
+    fn endpoint(&self, id: EndpointId, tx: Sender<LiveMessage>) -> Arc<Mutex<EndpointRing>> {
+        Arc::new(Mutex::new(EndpointRing {
             id,
-            Arc::new(Mutex::new(EndpointRing {
-                id,
-                ring: VecDeque::new(),
-                ring_bytes: 0,
-                batcher: Batcher::new(self.config.batch),
-                tx,
-                undelivered: VecDeque::new(),
-            })),
-        );
-        Ok(())
-    }
-
-    /// Register an endpoint with an unbounded inbox; returns its receiver.
-    pub fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = unbounded();
-        self.install(id, tx)?;
-        Ok(rx)
-    }
-
-    /// Register an endpoint whose inbox holds at most `capacity` delivered
-    /// messages; full inboxes park flushed batches for later retry rather
-    /// than dropping them.
-    pub fn register_bounded(
-        &self,
-        id: EndpointId,
-        capacity: usize,
-    ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        let (tx, rx) = bounded(capacity);
-        self.install(id, tx)?;
-        Ok(rx)
-    }
-
-    /// Remove an endpoint; pending descriptors are dropped, each counted
-    /// as a send error and released from its link's queue gauge. Flush
-    /// first if they must arrive.
-    pub fn deregister(&self, id: EndpointId) {
-        let Some(slot) = self.endpoints.write().remove(&id) else {
-            return;
-        };
-        let mut ep = slot.lock();
-        let ep = &mut *ep;
-        let buffered = ep.batcher.flush().map(|b| b.items).unwrap_or_default();
-        let stranded = ep
-            .undelivered
-            .drain(..)
-            .chain(buffered)
-            .chain(ep.ring.drain(..));
-        let tracker = self.tracker.read();
-        for msg in stranded {
-            self.send_errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(tracker) = tracker.as_ref() {
-                tracker.on_dropped(msg.from, id, msg.payload.len());
-            }
-        }
-    }
-
-    /// Post a descriptor to `to`'s ring, ringing the doorbell only when
-    /// the post makes work due (see the module docs).
-    fn post(&self, to: EndpointId, msg: LiveMessage) -> Result<(), SendError> {
-        // The map's read guard is held across the push, so a concurrent
-        // `deregister` either settles this descriptor or rejects the post.
-        let map = self.endpoints.read();
-        let Some(slot) = map.get(&to) else {
-            self.send_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(SendError::UnknownEndpoint);
-        };
-        let mut ep = slot.lock();
-        let pending = ep.pending();
-        if pending >= self.config.ring_capacity {
-            self.send_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(SendError::Full);
-        }
-        let bytes = msg.payload.len();
-        if let Some(tracker) = self.tracker.read().as_ref() {
-            // Accepted into the ring: the frame now occupies its link's
-            // queue until the flusher delivers (or drops) it.
-            tracker.on_send(msg.from, to, bytes);
-        }
-        let buffered = ep.ring_bytes + ep.batcher.buffered_bytes();
-        ep.ring_bytes += bytes;
-        ep.ring.push_back(msg);
-        drop(ep);
-        drop(map);
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        // Due now: an idle endpoint's first descriptor (the pump must
-        // stamp its WTL clock) or the one that brings the buffered bytes
-        // to MMS (a size flush). Any other post joins a batch whose
-        // deadline the flusher already sleeps towards.
-        let mms = self.config.batch.mms;
-        if pending == 0 || (buffered < mms && buffered + bytes >= mms) {
-            self.doorbells[self.config.shard_of(to)].ring();
-        }
-        Ok(())
-    }
-
-    /// TCP-semantics post: the bytes are copied into the descriptor now
-    /// (the copy tax is paid per destination), counted on delivery.
-    pub fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        self.post(
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Copied(bytes.to_vec()),
-            },
-        )
-    }
-
-    /// RDMA-semantics post: the shared buffer rides the descriptor by
-    /// reference, counted on delivery.
-    pub fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        self.post(
-            to,
-            LiveMessage {
-                from,
-                payload: Payload::Shared(buf),
-            },
-        )
+            ring: VecDeque::new(),
+            ring_bytes: 0,
+            batcher: Batcher::new(self.config.batch),
+            tx,
+            undelivered: VecDeque::new(),
+        }))
     }
 
     /// Snapshot endpoint slots in id order, so deterministic pumps visit
     /// rings in a stable order. `shard = None` selects every endpoint;
     /// `Some(s)` only those assigned to shard `s`.
     fn slots(&self, shard: Option<usize>) -> Vec<Arc<Mutex<EndpointRing>>> {
-        let map = self.endpoints.read();
+        let map = self.table.endpoints();
         let mut ids: Vec<(EndpointId, Arc<Mutex<EndpointRing>>)> = map
             .iter()
             .filter(|(id, _)| shard.is_none_or(|s| self.config.shard_of(**id) == s))
@@ -389,47 +248,18 @@ impl RingFabric {
     }
 
     /// Hand parked batch items to the inbox, preserving order. Stops at a
-    /// full bounded inbox (retried next pump); drops and counts errors on
-    /// a disconnected one.
+    /// full bounded inbox (retried next pump); a dead receiver's frames
+    /// are settled as send errors.
     fn drain_undelivered(&self, ep: &mut EndpointRing) -> u64 {
         let mut delivered = 0;
         while let Some(msg) = ep.undelivered.pop_front() {
-            let len = msg.payload.len() as u64;
-            let shared = matches!(msg.payload, Payload::Shared(_));
-            // Count before the hand-off: the channel's send→recv
-            // synchronization then guarantees that a receiver which has
-            // seen the message also sees the counters (counting after
-            // would let a reader observe the delivery but a stale count).
-            // Failed hand-offs undo the increment below.
-            let bytes_ctr = if shared {
-                &self.shared_bytes
-            } else {
-                &self.copied_bytes
-            };
-            self.messages.fetch_add(1, Ordering::Relaxed);
-            bytes_ctr.fetch_add(len, Ordering::Relaxed);
-            let from = msg.from;
-            match ep.tx.try_send(msg) {
-                Ok(()) => {
-                    delivered += 1;
-                    if let Some(tracker) = self.tracker.read().as_ref() {
-                        tracker.on_delivered(from, ep.id, len as usize);
-                    }
-                }
-                Err(TrySendError::Full(msg)) => {
-                    self.messages.fetch_sub(1, Ordering::Relaxed);
-                    bytes_ctr.fetch_sub(len, Ordering::Relaxed);
+            match self.table.deliver(&ep.tx, ep.id, msg) {
+                Handoff::Delivered => delivered += 1,
+                Handoff::Full(msg) => {
                     ep.undelivered.push_front(msg);
                     break;
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.messages.fetch_sub(1, Ordering::Relaxed);
-                    bytes_ctr.fetch_sub(len, Ordering::Relaxed);
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tracker) = self.tracker.read().as_ref() {
-                        tracker.on_dropped(from, ep.id, len as usize);
-                    }
-                }
+                Handoff::Dropped => {}
             }
         }
         delivered
@@ -514,7 +344,7 @@ impl RingFabric {
     }
 
     fn next_deadline_for(&self, shard: Option<usize>) -> Option<SimTime> {
-        let map = self.endpoints.read();
+        let map = self.table.endpoints();
         map.iter()
             .filter(|(id, _)| shard.is_none_or(|s| self.config.shard_of(**id) == s))
             .filter_map(|(_, slot)| {
@@ -533,43 +363,6 @@ impl RingFabric {
         self.posted.load(Ordering::Relaxed)
     }
 
-    /// Descriptors currently sitting in rings awaiting the flusher —
-    /// the live transfer-queue length across every endpoint.
-    pub fn queue_depth(&self) -> u64 {
-        let map = self.endpoints.read();
-        map.values().map(|slot| slot.lock().pending() as u64).sum()
-    }
-
-    /// Messages delivered so far.
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Bytes delivered through the copied (TCP) path so far.
-    pub fn copied_bytes(&self) -> u64 {
-        self.copied_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes delivered through the shared (RDMA) path so far.
-    pub fn shared_bytes(&self) -> u64 {
-        self.shared_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Failed posts plus failed deliveries so far.
-    pub fn send_errors(&self) -> u64 {
-        self.send_errors.load(Ordering::Relaxed)
-    }
-
-    /// Batches flushed so far.
-    pub fn flushed_batches(&self) -> u64 {
-        self.flushed_batches.load(Ordering::Relaxed)
-    }
-
-    /// Items delivered through flushed batches so far.
-    pub fn flushed_items(&self) -> u64 {
-        self.flushed_items.load(Ordering::Relaxed)
-    }
-
     /// Mean items per flushed batch (0 if none flushed yet).
     pub fn mean_batch_size(&self) -> f64 {
         let batches = self.flushed_batches();
@@ -579,66 +372,69 @@ impl RingFabric {
             self.flushed_items() as f64 / batches as f64
         }
     }
-
-    /// Registered endpoint count.
-    pub fn endpoint_count(&self) -> usize {
-        self.endpoints.read().len()
-    }
-
-    /// Export delivery and batching counters into `reg` under `prefix.*`.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.posted"), self.posted());
-        reg.set_counter(&format!("{prefix}.messages"), self.messages());
-        reg.set_counter(&format!("{prefix}.copied_bytes"), self.copied_bytes());
-        reg.set_counter(&format!("{prefix}.shared_bytes"), self.shared_bytes());
-        reg.set_counter(&format!("{prefix}.send_errors"), self.send_errors());
-        reg.set_counter(&format!("{prefix}.flushed_batches"), self.flushed_batches());
-        reg.set_counter(&format!("{prefix}.flushed_items"), self.flushed_items());
-        reg.set_gauge(&format!("{prefix}.mean_batch_size"), self.mean_batch_size());
-        reg.set_gauge(
-            &format!("{prefix}.endpoints"),
-            self.endpoints.read().len() as f64,
-        );
-        reg.set_gauge(
-            &format!("{prefix}.flusher_shards"),
-            self.config.shard_count() as f64,
-        );
-    }
 }
 
 impl FabricPath for RingFabric {
     fn register(&self, id: EndpointId) -> Result<Receiver<LiveMessage>, RegisterError> {
-        RingFabric::register(self, id)
+        self.table.register(id, None, |tx| self.endpoint(id, tx))
     }
 
+    /// Full bounded inboxes park flushed batches for later retry rather
+    /// than dropping them.
     fn register_bounded(
         &self,
         id: EndpointId,
         capacity: usize,
     ) -> Result<Receiver<LiveMessage>, RegisterError> {
-        RingFabric::register_bounded(self, id, capacity)
+        self.table
+            .register(id, Some(capacity), |tx| self.endpoint(id, tx))
     }
 
+    /// Pending descriptors (retry queue, batcher, ring) are settled as
+    /// send errors. Flush first if they must arrive.
     fn deregister(&self, id: EndpointId) {
-        RingFabric::deregister(self, id);
+        self.table.deregister(id, |slot| {
+            let mut ep = slot.lock();
+            let ep = &mut *ep;
+            let buffered = ep.batcher.flush().map(|b| b.items).unwrap_or_default();
+            let stranded = ep
+                .undelivered
+                .drain(..)
+                .chain(buffered)
+                .chain(ep.ring.drain(..));
+            self.table.settle(id, stranded);
+        });
     }
 
-    fn send_copied(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<(), SendError> {
-        RingFabric::send_copied(self, from, to, bytes)
-    }
-
-    fn send_shared(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        buf: Arc<[u8]>,
-    ) -> Result<(), SendError> {
-        RingFabric::send_shared(self, from, to, buf)
+    /// Post a descriptor to `to`'s ring (a copied payload paid its copy
+    /// per destination already), ringing the doorbell only when the post
+    /// makes work due (see the module docs). Counted on delivery.
+    fn send(&self, from: EndpointId, to: EndpointId, payload: Payload) -> Result<(), SendError> {
+        let bytes = payload.len();
+        let (pending, buffered) = self.table.post(to, |slot| {
+            let mut ep = slot.lock();
+            let pending = ep.pending();
+            if pending >= self.config.ring_capacity {
+                return Err(self.table.fail(SendError::Full));
+            }
+            // Accepted into the ring: the frame now occupies its link's
+            // queue until the flusher delivers (or drops) it.
+            self.table.accept(from, to, bytes);
+            let buffered = ep.ring_bytes + ep.batcher.buffered_bytes();
+            ep.ring_bytes += bytes;
+            ep.ring.push_back(LiveMessage { from, payload });
+            Ok((pending, buffered))
+        })?;
+        self.posted.fetch_add(1, Ordering::Relaxed);
+        // Due now: an idle endpoint's first descriptor (the pump must
+        // stamp its WTL clock) or the one that brings the buffered bytes
+        // to MMS (a size flush). Any other post joins a batch whose
+        // deadline the flusher already sleeps towards.
+        let mms = self.config.batch.mms;
+        if pending == 0 || (buffered < mms && buffered + bytes >= mms) {
+            self.doorbells[self.config.shard_of(to)].ring();
+        }
+        Ok(())
     }
 
     fn flush(&self) {
@@ -646,43 +442,55 @@ impl FabricPath for RingFabric {
     }
 
     fn messages(&self) -> u64 {
-        RingFabric::messages(self)
+        self.table.messages()
     }
 
     fn copied_bytes(&self) -> u64 {
-        RingFabric::copied_bytes(self)
+        self.table.copied_bytes()
     }
 
     fn shared_bytes(&self) -> u64 {
-        RingFabric::shared_bytes(self)
+        self.table.shared_bytes()
     }
 
     fn send_errors(&self) -> u64 {
-        RingFabric::send_errors(self)
+        self.table.send_errors()
     }
 
     fn flushed_batches(&self) -> u64 {
-        RingFabric::flushed_batches(self)
+        self.flushed_batches.load(Ordering::Relaxed)
     }
 
     fn flushed_items(&self) -> u64 {
-        RingFabric::flushed_items(self)
+        self.flushed_items.load(Ordering::Relaxed)
     }
 
+    /// Descriptors posted but not yet handed to an inbox (ring, batcher
+    /// and retry queue) — the live transfer-queue length across every
+    /// endpoint.
     fn queue_depth(&self) -> u64 {
-        RingFabric::queue_depth(self)
+        let map = self.table.endpoints();
+        map.values().map(|slot| slot.lock().pending() as u64).sum()
     }
 
     fn endpoint_count(&self) -> usize {
-        RingFabric::endpoint_count(self)
+        self.table.len()
     }
 
     fn install_link_tracker(&self, tracker: Arc<LinkTracker>) {
-        RingFabric::install_link_tracker(self, tracker);
+        self.table.install_link_tracker(tracker);
     }
 
     fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        RingFabric::export_metrics(self, reg, prefix);
+        self.table.export_metrics(reg, prefix);
+        reg.set_counter(&format!("{prefix}.posted"), self.posted());
+        reg.set_counter(&format!("{prefix}.flushed_batches"), self.flushed_batches());
+        reg.set_counter(&format!("{prefix}.flushed_items"), self.flushed_items());
+        reg.set_gauge(&format!("{prefix}.mean_batch_size"), self.mean_batch_size());
+        reg.set_gauge(
+            &format!("{prefix}.flusher_shards"),
+            self.config.shard_count() as f64,
+        );
     }
 }
 
@@ -742,10 +550,6 @@ pub fn spawn_flusher(fabric: Arc<RingFabric>) -> RingFlusher {
 }
 
 fn flusher_loop(fabric: &RingFabric, shard: usize) {
-    // Idle heartbeat so a lost wakeup can never stall the fabric for long.
-    let idle = fabric.config.idle_heartbeat;
-    // Backoff while a bounded inbox stays full (delivery made no progress).
-    let stalled = fabric.config.stall_backoff;
     loop {
         let delivered = fabric.pump_shard(shard, fabric.wall_now());
         if fabric.stopping.load(Ordering::SeqCst) {
@@ -757,7 +561,7 @@ fn flusher_loop(fabric: &RingFabric, shard: usize) {
                 let now = fabric.wall_now();
                 if deadline <= now {
                     if delivered == 0 {
-                        stalled
+                        STALL_BACKOFF
                     } else {
                         // More work is already due; pump again immediately.
                         continue;
@@ -766,7 +570,7 @@ fn flusher_loop(fabric: &RingFabric, shard: usize) {
                     Duration::from_nanos(deadline.as_nanos() - now.as_nanos())
                 }
             }
-            None => idle,
+            None => IDLE_HEARTBEAT,
         };
         fabric.doorbells[shard].wait(wait);
     }
@@ -958,18 +762,6 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"c");
         assert_eq!(rx.try_recv().unwrap().payload.bytes(), b"d");
         assert_eq!(fabric.send_errors(), 0);
-    }
-
-    #[test]
-    fn reregister_errors_until_deregistered() {
-        let fabric = RingFabric::new(RingConfig::default());
-        let _rx = fabric.register(EndpointId(3)).unwrap();
-        assert_eq!(
-            fabric.register(EndpointId(3)).unwrap_err(),
-            RegisterError::AlreadyRegistered(EndpointId(3))
-        );
-        fabric.deregister(EndpointId(3));
-        assert!(fabric.register(EndpointId(3)).is_ok());
     }
 
     #[test]
@@ -1229,43 +1021,116 @@ mod tests {
         flusher.stop();
     }
 
+    /// The rules every transport takes from the shared endpoint table,
+    /// checked on each [`FabricKind`] through the object-safe surface,
+    /// with the live drain thread running.
     #[test]
     fn fabric_kind_builds_interchangeable_paths() {
+        use crate::topology::{ClusterSpec, MachineId};
         for kind in [
             FabricKind::PerSend,
             FabricKind::Ring(RingConfig::default()),
             FabricKind::OneSided(crate::OneSidedConfig::default()),
         ] {
             let mut instance = kind.build();
-            let rx = instance.fabric.register(EndpointId(1)).unwrap();
-            instance
-                .fabric
+            let fabric = Arc::clone(&instance.fabric);
+            let tracker = Arc::new(LinkTracker::new(ClusterSpec::with_rack_map(
+                4,
+                2,
+                1,
+                vec![0, 0, 1, 1],
+            )));
+            for m in 0..4u32 {
+                tracker.map_endpoint(EndpointId(m), MachineId(m));
+            }
+            fabric.install_link_tracker(Arc::clone(&tracker));
+
+            // Copied and shared bytes count apart, once delivered.
+            let rx = fabric.register(EndpointId(1)).unwrap();
+            fabric
                 .send_copied(EndpointId(0), EndpointId(1), b"hi")
                 .unwrap();
-            instance.fabric.flush();
+            fabric
+                .send_shared(EndpointId(2), EndpointId(1), Arc::from(&b"abc"[..]))
+                .unwrap();
+            fabric.flush();
+            let mut got: Vec<Vec<u8>> = (0..2)
+                .map(|_| {
+                    rx.recv_timeout(Duration::from_secs(5))
+                        .unwrap()
+                        .payload
+                        .bytes()
+                        .to_vec()
+                })
+                .collect();
+            got.sort();
+            assert_eq!(got, [b"abc".to_vec(), b"hi".to_vec()]);
+            assert_eq!(fabric.messages(), 2);
+            assert_eq!(fabric.copied_bytes(), 2);
+            assert_eq!(fabric.shared_bytes(), 3);
+
+            // An unknown endpoint is a send error, never bytes.
             assert_eq!(
-                rx.recv_timeout(Duration::from_secs(5))
-                    .unwrap()
-                    .payload
-                    .bytes(),
-                b"hi"
+                fabric.send_copied(EndpointId(0), EndpointId(9), b"x"),
+                Err(SendError::UnknownEndpoint)
             );
-            assert_eq!(instance.fabric.messages(), 1);
+            assert_eq!(fabric.send_errors(), 1);
+
+            // A live inbox cannot be displaced.
+            assert_eq!(
+                fabric.register(EndpointId(1)).unwrap_err(),
+                RegisterError::AlreadyRegistered(EndpointId(1))
+            );
+            assert_eq!(
+                fabric.register_bounded(EndpointId(1), 4).unwrap_err(),
+                RegisterError::AlreadyRegistered(EndpointId(1))
+            );
+
+            // A dropped receiver: the send or its later hand-off is one
+            // send error, and its bytes never count.
+            drop(fabric.register(EndpointId(3)).unwrap());
+            let _ = fabric.send_copied(EndpointId(0), EndpointId(3), b"lost");
+            fabric.flush();
+            assert_eq!(fabric.send_errors(), 2);
+            assert_eq!(fabric.messages(), 2);
+            assert_eq!(fabric.copied_bytes(), 2);
+
+            // A one-frame inbox strands the rest of a burst until the
+            // deregistration settles it: every frame is delivered or
+            // counted as an error, and no link stays queued.
+            let _rx2 = fabric.register_bounded(EndpointId(2), 1).unwrap();
+            for frame in [b"a", b"b", b"c"] {
+                let _ = fabric.send_copied(EndpointId(0), EndpointId(2), frame);
+            }
+            fabric.deregister(EndpointId(2));
+            let delivered = fabric.messages() - 2;
+            assert!(delivered <= 1, "the inbox holds one frame");
+            assert_eq!(delivered + fabric.send_errors() - 2, 3);
+            assert_eq!(fabric.queue_depth(), 0);
+            assert!(tracker
+                .snapshot()
+                .iter()
+                .all(|l| l.queued_frames == 0 && l.queued_bytes == 0));
+            // Deregistration frees the id for reuse.
+            assert!(fabric.register(EndpointId(2)).is_ok());
+
+            // Per-link bytes tile the delivered wire total.
+            let link_bytes: u64 = tracker.snapshot().iter().map(|l| l.bytes).sum();
+            assert_eq!(link_bytes, fabric.copied_bytes() + fabric.shared_bytes());
+            assert_eq!(tracker.total_bytes(), link_bytes);
+            assert!(tracker.uplink_bytes() >= 3, "rack 1 → rack 0 crossed an uplink");
             instance.shutdown();
         }
     }
 
     #[test]
     fn config_round_trips_flusher_fields_with_current_defaults() {
-        let d = RingConfig::default();
-        assert_eq!(d.flusher_shards, 1);
-        assert_eq!(d.idle_heartbeat, Duration::from_millis(5));
-        assert_eq!(d.stall_backoff, Duration::from_micros(100));
+        assert_eq!(RingConfig::default().flusher_shards, 1);
+        assert_eq!(IDLE_HEARTBEAT, Duration::from_millis(5));
+        assert_eq!(STALL_BACKOFF, Duration::from_micros(100));
 
         let custom = RingConfig {
             flusher_shards: 4,
-            idle_heartbeat: Duration::from_millis(1),
-            stall_backoff: Duration::from_micros(10),
             ..RingConfig::default()
         };
         // The config must survive the fabric and the flusher unchanged.
@@ -1314,7 +1179,6 @@ mod tests {
                     mms: 64,
                     wtl: SimDuration::from_millis(1),
                 },
-                ..RingConfig::default()
             });
             let rxs: Vec<_> = (0..5u32)
                 .map(|d| fabric.register(EndpointId(d)).unwrap())
@@ -1356,7 +1220,6 @@ mod tests {
                 wtl: SimDuration::from_millis(1),
             },
             flusher_shards: 4,
-            ..RingConfig::default()
         }));
         let flusher = spawn_flusher(Arc::clone(&fabric));
         assert_eq!(flusher.shard_count(), 4);
